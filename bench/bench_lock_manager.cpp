@@ -62,8 +62,9 @@ void BM_Flat2plAcquireRelease(benchmark::State& state) {
 }
 BENCHMARK(BM_Flat2plAcquireRelease);
 
-/// Cost of the Figure 9 test against a holder tree of the given depth, with
-/// the commuting pair sitting at the top (worst-case full chain walk).
+/// Cost of the Figure 9 test when holder and requester chains both have the
+/// given depth and the only commuting pair sits at the top of both: the
+/// walk visits depth x depth ancestor pairs before it finds Case 1.
 void BM_TestConflictAncestorWalk(benchmark::State& state) {
   const int depth = static_cast<int>(state.range(0));
   ProtocolOptions opts;
@@ -84,11 +85,16 @@ void BM_TestConflictAncestorWalk(benchmark::State& state) {
     n->set_state(TxnState::kCommitted);
     lm.OnSubTxnCompleted(n);
   }
+  // Requester: root -> Mb(obj 1) -> Mb(obj 201) -> ... -> leaf Get(obj 99),
+  // built once so the timed loop is one conflicting acquire + release.
+  TxnTree req(TxnTree::NextId(), "R", kDatabaseOid, 0);
+  SubTxn* rcur = req.root();
+  for (int d = 0; d < depth; ++d) {
+    rcur = req.NewNode(rcur, static_cast<Oid>(d == 0 ? 1 : 200 + d), kT, "Mb",
+                       {});
+  }
+  SubTxn* get = req.NewNode(rcur, 99, 0, generic_ops::kGet, {});
   for (auto _ : state) {
-    TxnTree req(TxnTree::NextId(), "R", kDatabaseOid, 0);
-    SubTxn* mb = req.NewNode(req.root(), 1, kT, "Mb", {});
-    SubTxn* get = req.NewNode(mb, 99, 0, generic_ops::kGet, {});
-    benchmark::DoNotOptimize(lm.Acquire(mb, LockTarget::ForObject(1), true));
     benchmark::DoNotOptimize(lm.Acquire(get, LockTarget::ForObject(99), false));
     lm.ReleaseTree(req.root());
   }
@@ -118,73 +124,41 @@ void BM_AcquireWithManyHolders(benchmark::State& state) {
 }
 BENCHMARK(BM_AcquireWithManyHolders)->Arg(1)->Arg(8)->Arg(64)->Arg(256);
 
-/// §5.4 tentpole measurement: a transaction re-acquiring the same semantic
-/// lock class over and over (the QuantityOnHand read-modify-write shape)
-/// against a queue pre-filled with foreign commuting holders. With the fast
-/// path off (Arg 0) every re-acquire pays a full-queue commute scan plus a
-/// fresh LockEntry; with it on (Arg 1) warm re-acquires are a grant-cache
-/// hit — no shard mutex, no allocation. run_bench.sh records this pair in
-/// BENCH_lockpath.json; the ON/OFF real_time ratio is the tracked speedup.
-void BM_RepeatedReacquire(benchmark::State& state) {
-  const bool fast = state.range(0) != 0;
-  ProtocolOptions opts;
-  opts.debug_lock_checks = false;
-  opts.lock_fast_path = fast;
-  opts.coalesce_entries = fast;
-  opts.memoize_conflicts = fast;
-  opts.pool_entries = fast;
-  LockManager lm(opts, Registry());
-  // Foreign holders: 64 trees with granted commuting Mb locks on the target,
-  // so the slow path scans a realistic hot-object queue every time.
-  constexpr Oid kHot = 7;
-  std::vector<std::unique_ptr<TxnTree>> holders;
-  for (int i = 0; i < 64; ++i) {
-    holders.push_back(
-        std::make_unique<TxnTree>(TxnTree::NextId(), "H", kDatabaseOid, 0));
-    SubTxn* n = holders.back()->NewNode(holders.back()->root(), kHot, kT,
-                                        "Mb", {});
-    (void)lm.Acquire(n, LockTarget::ForObject(kHot), true);
-  }
-  constexpr int kReacquires = 256;
-  for (auto _ : state) {
-    TxnTree tree(TxnTree::NextId(), "R", kDatabaseOid, 0);
-    for (int i = 0; i < kReacquires; ++i) {
-      SubTxn* n = tree.NewNode(tree.root(), kHot, kT, "Mb", {});
-      benchmark::DoNotOptimize(lm.Acquire(n, LockTarget::ForObject(kHot), true));
-      n->set_state(TxnState::kCommitted);
-      lm.OnSubTxnCompleted(n);
-    }
-    lm.ReleaseTree(tree.root());
-  }
-  state.SetItemsProcessed(state.iterations() * kReacquires);
-}
-BENCHMARK(BM_RepeatedReacquire)->ArgNames({"fastpath"})->Arg(0)->Arg(1);
+// The Commute* benches call the MethodId overload LockManager::Acquire
+// uses, with the ids interned outside the timed loop.
+MethodId Id(const char* name) { return MethodInterner::Global().Intern(name); }
 
 void BM_CommuteStaticLookup(benchmark::State& state) {
   CompatibilityRegistry* reg = Registry();
+  const MethodId ma = Id("Ma");
+  const MethodId mb = Id("Mb");
+  const Args none;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(reg->Commute(kT, "Ma", {}, "Mb", {}));
+    benchmark::DoNotOptimize(reg->Commute(kT, ma, none, mb, none));
   }
 }
 BENCHMARK(BM_CommuteStaticLookup);
 
 void BM_CommutePredicateLookup(benchmark::State& state) {
   CompatibilityRegistry* reg = Registry();
+  const MethodId pa = Id("Pa");
+  const MethodId pb = Id("Pb");
   Args a{Value(1)};
   Args b{Value(2)};
   for (auto _ : state) {
-    benchmark::DoNotOptimize(reg->Commute(kT, "Pa", a, "Pb", b));
+    benchmark::DoNotOptimize(reg->Commute(kT, pa, a, pb, b));
   }
 }
 BENCHMARK(BM_CommutePredicateLookup);
 
 void BM_CommuteGenericRule(benchmark::State& state) {
   CompatibilityRegistry* reg = Registry();
+  const MethodId insert = Id(generic_ops::kInsert);
+  const MethodId remove = Id(generic_ops::kRemove);
   Args a{Value(1), Value::Ref(5)};
   Args b{Value(2)};
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        reg->Commute(99, generic_ops::kInsert, a, generic_ops::kRemove, b));
+    benchmark::DoNotOptimize(reg->Commute(99, insert, a, remove, b));
   }
 }
 BENCHMARK(BM_CommuteGenericRule);

@@ -12,7 +12,8 @@ Understands both result schemas in this repo:
     *_us / *_micros fields (lower is better).
   * google-benchmark --benchmark_out files (bench_lock_manager): an object
     with a "benchmarks" array, compared on real_time per benchmark name
-    (lower is better).
+    (lower is better) — the median aggregate when the file was written with
+    repetitions, else the single run.
 
 Prints a WARNING line for every metric that regressed by more than the
 threshold. Rows written with --stats additionally carry the verdict
@@ -75,38 +76,6 @@ def group_commit_inversion(data):
     return None
 
 
-def adaptive_inversion(data):
-    """Gating invariant over a bench_throughput result: in the phase-shift
-    sweep the live adaptive controller must not end up slower overall than
-    the WORST statically pinned mode. The controller's entire job is to
-    avoid being stuck in the wrong mode as the workload shifts; losing to
-    the worst pin means mode selection (or the flip machinery's overhead)
-    is actively harmful, no matter how the absolute numbers moved. A small
-    tolerance absorbs runner noise — the recorded trajectory shows the
-    adaptive row beating the worst static by well over 1.3x. Returns an
-    error string or None."""
-    if not isinstance(data, list):
-        return None
-    tps = {}
-    for row in data:
-        if isinstance(row, dict):
-            label = row.get("label", "")
-            if label.startswith("phaseshift-") and label.endswith("-overall"):
-                tps[label] = float(row.get("throughput_tps", 0.0))
-    adaptive = tps.get("phaseshift-adaptive-overall")
-    statics = [tps[k] for k in ("phaseshift-semantic-overall",
-                                "phaseshift-2pl-overall",
-                                "phaseshift-prudent-overall") if k in tps]
-    if adaptive is None or not statics or min(statics) <= 0:
-        return None
-    worst = min(statics)
-    if adaptive < worst * 0.95:
-        return (f"phase-shift adaptive overall ({adaptive:.0f} tps) is slower "
-                f"than the worst static pin ({worst:.0f} tps) — the adaptive "
-                "controller is losing to the configuration it exists to avoid")
-    return None
-
-
 def row_metrics(row):
     """Yield (metric_name, value, higher_is_better) for a RunSummary row."""
     for key, value in row.items():
@@ -139,8 +108,12 @@ def index_rows(data):
     if isinstance(data, dict) and "benchmarks" in data:
         for b in data["benchmarks"]:
             if b.get("run_type") == "aggregate":
-                continue
-            out[b["name"]] = {"real_time": (float(b["real_time"]), False)}
+                if b.get("aggregate_name") != "median":
+                    continue
+                name = b.get("run_name", b["name"])
+            else:
+                name = b["name"]
+            out[name] = {"real_time": (float(b["real_time"]), False)}
     elif isinstance(data, list):
         for row in data:
             if not isinstance(row, dict):
@@ -196,9 +169,6 @@ def main():
     inversion = group_commit_inversion(new_data)
     if inversion is not None:
         print(f"ERROR: {inversion}")
-    adp_inversion = adaptive_inversion(new_data)
-    if adp_inversion is not None:
-        print(f"ERROR: {adp_inversion}")
 
     warned = 0
     for key, metrics in sorted(new.items()):
@@ -245,15 +215,13 @@ def main():
                 )
                 drifted += 1
 
-    if (warned == 0 and drifted == 0 and not missing and inversion is None
-            and adp_inversion is None):
+    if warned == 0 and drifted == 0 and not missing and inversion is None:
         print(f"check_bench_regression: {args.new} OK vs {args.old} "
               f"(no metric >{args.threshold * 100.0:.0f}% worse, "
               "no verdict drift, all baseline rows present)")
     # Timing and behavior mix never gate; lost coverage and the
-    # group-commit / adaptive ordering inversions do.
-    return 1 if (missing or inversion is not None
-                 or adp_inversion is not None) else 0
+    # group-commit ordering inversion do.
+    return 1 if (missing or inversion is not None) else 0
 
 
 if __name__ == "__main__":

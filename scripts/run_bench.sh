@@ -2,8 +2,9 @@
 # Run the experiment benches and write the machine-readable perf-trajectory
 # files BENCH_throughput.json, BENCH_contention.json, BENCH_recovery.json
 # (logging overhead, restart cost, group commit, file-backed log), and
-# BENCH_lockpath.json (repeated-reacquire fast-path microbench) at the
-# repo root.
+# BENCH_lockpath.json (the lock-path microbenches: acquire/release per
+# protocol, ancestor-walk depth, queue length, commutativity lookups; five
+# repetitions, aggregates only) at the repo root.
 #
 # Usage:
 #   scripts/run_bench.sh [build-dir]
@@ -62,8 +63,8 @@ for f in "${bench_files[@]}"; do
   [[ -f "$repo_root/$f" ]] && cp "$repo_root/$f" "$stash_dir/$f"
 done
 
-# --stats adds the verdict-breakdown + fast-path columns to every row
-# (commute/case1/case2/root_waits/retained_hits/...), so the trajectory
+# --stats adds the verdict-breakdown columns to every row
+# (commute/case1/case2/root_waits/retained_hits/timeouts), so the trajectory
 # files track protocol behavior, not just throughput.
 "$build_dir/bench/bench_throughput" --stats --json="$repo_root/BENCH_throughput.json"
 validate_json "$repo_root/BENCH_throughput.json"
@@ -96,22 +97,6 @@ if missing:
   echo "error: BENCH_throughput.json lacks the keyrange ablation rows" >&2
   exit 1
 fi
-# The adaptive phase-shift rows (static pins vs live controller over the
-# A/B/C phase sequence) are the adaptive_mode ablation record.
-if ! python3 -c '
-import json, sys
-with open(sys.argv[1]) as f:
-    labels = {row.get("label", "") for row in json.load(f)}
-required = ["phaseshift-%s-%s" % (cfg, ph)
-            for cfg in ("semantic", "2pl", "prudent", "adaptive")
-            for ph in ("phaseA", "phaseB", "phaseC", "overall")]
-missing = [l for l in required if l not in labels]
-if missing:
-    sys.exit("missing phase-shift rows: " + ", ".join(missing))
-' "$repo_root/BENCH_throughput.json"; then
-  echo "error: BENCH_throughput.json lacks the adaptive phase-shift rows" >&2
-  exit 1
-fi
 "$build_dir/bench/bench_contention" --stats --json="$repo_root/BENCH_contention.json"
 validate_json "$repo_root/BENCH_contention.json"
 # The hot-set sweep rows (one item, insert-share sweep, keyrange off/on per
@@ -132,7 +117,7 @@ fi
 "$build_dir/bench/bench_recovery" --stats --json="$repo_root/BENCH_recovery.json"
 validate_json "$repo_root/BENCH_recovery.json"
 "$build_dir/bench/bench_lock_manager" \
-  --benchmark_filter='BM_RepeatedReacquire' \
+  --benchmark_repetitions=5 --benchmark_report_aggregates_only=true \
   --benchmark_out="$repo_root/BENCH_lockpath.json" \
   --benchmark_out_format=json
 validate_json "$repo_root/BENCH_lockpath.json"

@@ -13,7 +13,7 @@ output path, e.g.:
 The report has two parts:
   * a verdict summary — how many lock decisions fell into each outcome
     (commute / Case 1 / Case 2 / root wait), how many blocks hit a
-    *retained* lock, fast-path hits, wait times;
+    *retained* lock, wait times;
   * a per-transaction decision timeline (--timeline, or automatically when
     the trace is small) — every grant/block/wakeup/commit in emit order,
     grouped under the top-level transaction that issued it.
@@ -43,16 +43,14 @@ VERDICTS = {
 FLAG_BLOCKER_RETAINED = 1
 FLAG_KEYRANGE = 2
 
-# CcMode (src/cc/lock_manager.h) — the adaptive controller's per-type modes;
-# mode-flip events carry the new mode in `value` and the old in `verdict`.
-MODES = {0: "semantic", 1: "2pl", 2: "prudent"}
-
 # Sentinel bounds the runtime uses for half-open key intervals: kAll hulls to
 # [INT64_MIN, INT64_MAX] and kLowerBound hulls to [k, INT64_MAX].
 KEY_LO_NEG_INF = -(2**63)
 KEY_HI_INF = 2**63 - 1
 
-# Event kinds that represent a lock decision on the acquire path.
+# Event kinds that represent a lock decision on the acquire path
+# ("fastpath-grant" only appears in traces from before the grant cache was
+# removed).
 DECISION_KINDS = {"grant", "fastpath-grant", "block"}
 
 
@@ -79,7 +77,6 @@ def summarize(events):
         "verdicts": collections.Counter(),
         "retained_hits": 0,
         "keyed_decisions": 0,
-        "fastpath_grants": 0,
         "blocks": 0,
         "grants_after_wait": 0,
         "deadlock_victims": 0,
@@ -90,7 +87,6 @@ def summarize(events):
         "txn_retries": 0,
         "wal_flushes": 0,
         "snapshot_reads": 0,
-        "mode_flips": collections.Counter(),
         "wait_us": [],
         "roots": set(),
     }
@@ -108,8 +104,6 @@ def summarize(events):
                 s["verdicts"][verdict] += 1
                 if e.get("flags", 0) & FLAG_BLOCKER_RETAINED:
                     s["retained_hits"] += 1
-            elif kind == "fastpath-grant":
-                s["fastpath_grants"] += 1
             elif verdict != "no-lock":
                 s["verdicts"][verdict] += 1
         elif kind == "grant-after-wait":
@@ -131,10 +125,6 @@ def summarize(events):
             s["wal_flushes"] += 1
         elif kind == "snapshot-read":
             s["snapshot_reads"] += 1
-        elif kind == "mode-flip":
-            old = MODES.get(e.get("verdict", 0), "?")
-            new = MODES.get(e.get("value", 0), "?")
-            s["mode_flips"][f"{old}->{new}"] += 1
     return s
 
 
@@ -142,7 +132,7 @@ def print_summary(s):
     print(f"events           : {s['events']} "
           f"({len(s['roots'])} top-level transactions)")
     print(f"lock decisions   : {s['decisions']} "
-          f"({s['fastpath_grants']} fast-path, {s['blocks']} blocked)")
+          f"({s['blocks']} blocked)")
     if s["verdicts"]:
         print("verdicts         :")
         for verdict, n in s["verdicts"].most_common():
@@ -163,12 +153,6 @@ def print_summary(s):
     if s["snapshot_reads"]:
         print(f"snapshot reads   : {s['snapshot_reads']} "
               "(MVCC reads that took no semantic lock)")
-    if s["mode_flips"]:
-        total = sum(s["mode_flips"].values())
-        print(f"mode flips       : {total} "
-              "(adaptive controller changed a type's cc mode)")
-        for transition, n in s["mode_flips"].most_common():
-            print(f"  {transition:<22} {n}")
     if s["wait_us"]:
         waits = sorted(s["wait_us"])
 
@@ -209,11 +193,6 @@ def event_line(e):
         parts.append(f"batch={e.get('other', 0)} device={e.get('value', 0)}us")
     if kind == "snapshot-read":
         parts.append(f"S={e.get('other', 0)} saw=ts{e.get('value', 0)}")
-    if kind == "mode-flip":
-        old = MODES.get(e.get("verdict", 0), "?")
-        new = MODES.get(e.get("value", 0), "?")
-        parts.append(f"slot={e.get('other', 0)} {old}->{new} "
-                     f"epoch={e.get('txn', 0)}")
     return "  " + " ".join(parts)
 
 

@@ -127,7 +127,9 @@ ScenarioOutcome RunFig4(PaperScenario* s) {
       sched.Signal("t1.a.done");
       // Give T2 a window; don't hang forever under blocking protocols.
       sched.WaitFor("t2.a.done", milliseconds(300));
-      return ctx.Invoke(s->i2, "ShipOrder", {Value(s->ono2)});
+      Result<Value> b = ctx.Invoke(s->i2, "ShipOrder", {Value(s->ono2)});
+      sched.Signal("t1.b.done");
+      return b;
     });
     out.t_left_committed = r.ok();
   });
@@ -138,6 +140,10 @@ ScenarioOutcome RunFig4(PaperScenario* s) {
                              ctx.Invoke(s->i1, "PayOrder", {Value(s->ono1)}));
       (void)a;
       sched.Signal("t2.a.done");
+      // Figure 4 runs T2's second action after T1's. Racing them instead
+      // lets both ChangeStatus(o2) subtransactions take Case 2 waits on each
+      // other, and the deadlock victim aborts (RunTransactionOnce).
+      sched.WaitFor("t1.b.done", milliseconds(300));
       return ctx.Invoke(s->i2, "PayOrder", {Value(s->ono2)});
     });
     out.t_right_committed = r.ok();

@@ -37,8 +37,7 @@ struct WorkloadOptions {
   /// mvcc_reads flag a clean on/off ablation.
   bool snapshot_readers = false;
   /// Make T5 scan the item twice. The second TotalPayment re-acquires a
-  /// lock the tree already holds, driving the lock manager's per-tree grant
-  /// cache (fast-path reacquire) under the locking protocols.
+  /// lock the tree already holds.
   bool t5_double_scan = false;
   /// Make T5 scan *all* items in one transaction (T5_TotalPaymentScan)
   /// instead of a single zipf-picked item. Under plain locking the scan
@@ -80,13 +79,6 @@ class OrderEntryWorkload {
 
   /// Load the initial data (outside transactions).
   Status Setup();
-
-  /// Adopt another workload's loaded data and per-item order-number
-  /// high-water marks instead of Load()ing fresh objects. The phase-shift
-  /// benchmarks run several WorkloadOptions phases against ONE database —
-  /// only the first phase's workload calls Setup(); later phases adopt so
-  /// their order-number picks stay valid against the grown order sets.
-  void AdoptData(const OrderEntryWorkload& other);
 
   /// Run one randomly chosen transaction. Returns OK on commit; system
   /// aborts beyond the retry budget and application errors surface here.

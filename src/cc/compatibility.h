@@ -203,10 +203,9 @@ class CompatibilityRegistry {
   /// Can the commute verdict of ANY invocation pair involving an
   /// invocation (type, m, args) depend on that invocation's actual
   /// arguments? False means every `Commute(type, m, a, ...)` /
-  /// `Commute(type, ..., m, a)` result is independent of `a`, so the lock
-  /// manager may treat two invocations of m differing only in arguments as
-  /// the same conflict class (grant-cache hits, entry coalescing —
-  /// DESIGN.md §5.4). Conservative: true whenever a predicate entry
+  /// `Commute(type, ..., m, a)` result is independent of `a`: two
+  /// invocations of m differing only in arguments fall in the same conflict
+  /// class. Conservative: true whenever a predicate entry
   /// mentions m for this type (predicates may read either side's args), or
   /// m is a key-addressed generic op (Insert/Remove/Select). O(1): reads a
   /// bitvector precomputed at Recompile time.

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 
-#include "cc/adaptive_controller.h"
 #include "util/logging.h"
 #include "util/stopwatch.h"
 
@@ -67,7 +66,7 @@ std::string LockStats::ToString() const {
       buf, sizeof(buf),
       "acquires=%llu blocked=%llu commute=%llu case1=%llu case2=%llu "
       "root_waits=%llu retained=%llu deadlocks=%llu timeouts=%llu "
-      "fast_path=%llu coalesced=%llu memo=%llu keyrange=%llu prudent=%llu",
+      "keyrange=%llu",
       static_cast<unsigned long long>(acquires),
       static_cast<unsigned long long>(blocked_acquires),
       static_cast<unsigned long long>(commute_grants),
@@ -77,11 +76,7 @@ std::string LockStats::ToString() const {
       static_cast<unsigned long long>(retained_hits),
       static_cast<unsigned long long>(deadlocks),
       static_cast<unsigned long long>(timeouts),
-      static_cast<unsigned long long>(fast_path_hits),
-      static_cast<unsigned long long>(coalesced_grants),
-      static_cast<unsigned long long>(memo_hits),
-      static_cast<unsigned long long>(keyrange_skips),
-      static_cast<unsigned long long>(prudent_bypasses));
+      static_cast<unsigned long long>(keyrange_skips));
   return buf;
 }
 
@@ -96,12 +91,7 @@ std::string LockStats::ToJson() const {
   w.Field("retained_hits", retained_hits);
   w.Field("deadlocks", deadlocks);
   w.Field("timeouts", timeouts);
-  w.Field("fast_path_hits", fast_path_hits);
-  w.Field("fast_path_misses", fast_path_misses);
-  w.Field("coalesced_grants", coalesced_grants);
-  w.Field("memo_hits", memo_hits);
   w.Field("keyrange_skips", keyrange_skips);
-  w.Field("prudent_bypasses", prudent_bypasses);
   w.Field("granted_entries", granted_entries);
   w.Field("released_entries", released_entries);
   w.Field("wakeups", wakeups);
@@ -149,12 +139,7 @@ LockStats LockManager::stats() const {
   s.retained_hits = counters_.Sum(kCtrRetainedHits);
   s.deadlocks = counters_.Sum(kCtrDeadlocks);
   s.timeouts = counters_.Sum(kCtrTimeouts);
-  s.fast_path_hits = counters_.Sum(kCtrFastPathHits);
-  s.fast_path_misses = counters_.Sum(kCtrFastPathMisses);
-  s.coalesced_grants = counters_.Sum(kCtrCoalescedGrants);
-  s.memo_hits = counters_.Sum(kCtrMemoHits);
   s.keyrange_skips = counters_.Sum(kCtrKeyrangeSkips);
-  s.prudent_bypasses = counters_.Sum(kCtrPrudentBypasses);
   s.granted_entries = counters_.Sum(kCtrGrantedEntries);
   s.released_entries = counters_.Sum(kCtrReleasedEntries);
   s.wakeups = counters_.Sum(kCtrWakeups);
@@ -173,12 +158,7 @@ LockStats LockManager::shard_stats(uint32_t shard) const {
   s.retained_hits = counters_.StripeValue(shard, kCtrRetainedHits);
   s.deadlocks = counters_.StripeValue(shard, kCtrDeadlocks);
   s.timeouts = counters_.StripeValue(shard, kCtrTimeouts);
-  s.fast_path_hits = counters_.StripeValue(shard, kCtrFastPathHits);
-  s.fast_path_misses = counters_.StripeValue(shard, kCtrFastPathMisses);
-  s.coalesced_grants = counters_.StripeValue(shard, kCtrCoalescedGrants);
-  s.memo_hits = counters_.StripeValue(shard, kCtrMemoHits);
   s.keyrange_skips = counters_.StripeValue(shard, kCtrKeyrangeSkips);
-  s.prudent_bypasses = counters_.StripeValue(shard, kCtrPrudentBypasses);
   s.granted_entries = counters_.StripeValue(shard, kCtrGrantedEntries);
   s.released_entries = counters_.StripeValue(shard, kCtrReleasedEntries);
   s.wakeups = counters_.StripeValue(shard, kCtrWakeups);
@@ -247,7 +227,6 @@ void LockManager::NotifyShards(const ShardSet& s) {
 // --- test-conflict -----------------------------------------------------
 
 SubTxn* LockManager::TestConflictSemantic(const LockEntry& h, SubTxn* r,
-                                          CcMode mode,
                                           ConflictOutcome* why) const {
   SubTxn* holder = h.acquirer;
   // "if h and r ... belong to the same top-level transaction then return nil"
@@ -256,14 +235,6 @@ SubTxn* LockManager::TestConflictSemantic(const LockEntry& h, SubTxn* r,
   if (holder->SameRootAs(r)) {
     *why = ConflictOutcome::kSameTxn;
     return nullptr;
-  }
-  // Adaptive k2PL mode (DESIGN.md §5.9): the matrix is forced to
-  // conflict-only and the ancestor walk skipped — every foreign pair is a
-  // root wait. Strictly more conservative than the semantic test below, so
-  // a 2PL-mode requester can never be granted where semantics would block.
-  if (mode == CcMode::k2PL) {
-    *why = ConflictOutcome::kRootWait;
-    return holder->root();
   }
   // "if h and r commute ... return nil". Both act on the same object, so the
   // object type is shared and the compatibility spec of that type applies.
@@ -351,11 +322,11 @@ SubTxn* LockManager::TestConflictFlat(const LockEntry& h, SubTxn* r,
 }
 
 SubTxn* LockManager::TestConflict(const LockEntry& h, SubTxn* r,
-                                  bool r_is_write, CcMode mode,
+                                  bool r_is_write,
                                   ConflictOutcome* why) const {
   switch (options_.protocol) {
     case Protocol::kSemanticONT:
-      return TestConflictSemantic(h, r, mode, why);
+      return TestConflictSemantic(h, r, why);
     case Protocol::kClosedNested:
       return TestConflictClosed(h, r, r_is_write, why);
     case Protocol::kFlat2PL:
@@ -367,19 +338,11 @@ SubTxn* LockManager::TestConflict(const LockEntry& h, SubTxn* r,
 
 void LockManager::CollectBlockers(const LockShard& shard, const LockQueue& q,
                                   const LockTarget& target, uint64_t my_seq,
-                                  SubTxn* t, bool is_write, CcMode mode,
+                                  SubTxn* t, bool is_write,
                                   uint32_t stripe, bool count_stats,
-                                  bool memoize, ScanResult* out) {
+                                  ScanResult* out) {
   (void)shard;  // capability-only parameter (REQUIRES(shard.mu))
   out->Clear();
-  // Prudent mode (DESIGN.md §5.9): bounded FCFS relaxation — this scan may
-  // jump over up to prudent_bypass_limit earlier *waiting* entries instead
-  // of queueing behind them. Granted entries are always fully tested, so
-  // serializability is untouched; only queue fairness is relaxed, which is
-  // what breaks waiter convoys on hot shards.
-  int bypass_budget = (mode == CcMode::kPrudent)
-                          ? options_.adaptive.prudent_bypass_limit
-                          : 0;
   for (const LockEntry& e : q.entries) {
     if (e.acquirer == t) continue;
     // Test against held locks and earlier-queued requests (FCFS, paper
@@ -388,12 +351,6 @@ void LockManager::CollectBlockers(const LockShard& shard, const LockQueue& q,
     // behind foreign waiters (which wait for THIS transaction's completion)
     // would deadlock the rollback itself.
     if (!e.granted && (e.seq > my_seq || t->compensation())) continue;
-    if (!e.granted && bypass_budget > 0) {
-      --bypass_budget;
-      counters_.Inc(stripe, kCtrPrudentBypasses);
-      if (controller_ != nullptr) controller_->RecordBypass(t->type());
-      continue;
-    }
     // Key-range precheck (keyrange_locks): provably disjoint key intervals
     // commute by key disjointness — whatever the coarse per-object matrix
     // would say — so the pair is nil without a conflict test. This is the
@@ -401,49 +358,19 @@ void LockManager::CollectBlockers(const LockShard& shard, const LockQueue& q,
     // only annotated from an (exact or upper-bound) method footprint, never
     // for size-observing methods. Same-tree entries fall through to the
     // ordinary kSameTxn verdict so the commute counters keep meaning
-    // "foreign pair commuted" with the flag on or off. Disabled in k2PL
-    // mode, whose contract is conflict-only (no semantic relief of any
-    // kind).
-    if (mode != CcMode::k2PL && KeyIntervalsDisjoint(e, target) &&
-        !e.acquirer->SameRootAs(t)) {
+    // "foreign pair commuted" with the flag on or off.
+    if (KeyIntervalsDisjoint(e, target) && !e.acquirer->SameRootAs(t)) {
       if (count_stats) {
         counters_.Inc(stripe, kCtrKeyrangeSkips);
         counters_.Inc(stripe, kCtrCommuteGrants);
-        if (controller_ != nullptr) {
-          controller_->RecordVerdict(t->type(), ConflictOutcome::kCommute);
-        }
         if (out->grant_relief != ConflictOutcome::kCase1Grant) {
           out->grant_relief = ConflictOutcome::kCommute;
         }
       }
       continue;
     }
-    if (memoize) {
-      // Nil verdicts are stable for a fixed (entry, requester) — states
-      // only move active -> terminal — so one memoized across this
-      // Acquire's re-scans needs no re-derivation. The seq match guards
-      // against a pooled node recycled into a different entry. Non-nil
-      // verdicts are never memoized: blockers must be re-derived fresh.
-      auto mit = out->nil_verdicts.find(&e);
-      if (mit != out->nil_verdicts.end() && mit->second == e.seq) {
-        counters_.Inc(stripe, kCtrMemoHits);
-        continue;
-      }
-    }
     ConflictOutcome why = ConflictOutcome::kNoLock;
-    SubTxn* b = TestConflict(e, t, is_write, mode, &why);
-    if (b == nullptr && memoize) out->nil_verdicts.emplace(&e, e.seq);
-    // Shadow sampling (DESIGN.md §5.9): a k2PL-mode conflict still asks,
-    // once per first scan, whether the pair would have commuted directly —
-    // the controller's only promote-back signal while semantic testing is
-    // switched off. One matrix probe, no ancestor walk.
-    if (mode == CcMode::k2PL && count_stats && controller_ != nullptr &&
-        why == ConflictOutcome::kRootWait) {
-      controller_->RecordShadow(
-          t->type(),
-          compat_->Commute(e.acquirer->type(), e.method_id,
-                           e.acquirer->args(), t->method_id(), t->args()));
-    }
+    SubTxn* b = TestConflict(e, t, is_write, &why);
     // Do NOT drop blockers that completed between the conflict test and
     // here: a just-aborted subtransaction must not look like a grant. The
     // wait loop re-derives the verdict from fresh state on every wake-up.
@@ -481,7 +408,6 @@ void LockManager::CollectBlockers(const LockShard& shard, const LockQueue& q,
           default:
             break;
         }
-        if (controller_ != nullptr) controller_->RecordVerdict(t->type(), why);
       }
     } else if (count_stats && (why == ConflictOutcome::kCase1Grant ||
                                why == ConflictOutcome::kCommute)) {
@@ -494,7 +420,6 @@ void LockManager::CollectBlockers(const LockShard& shard, const LockQueue& q,
           out->grant_relief = ConflictOutcome::kCommute;
         }
       }
-      if (controller_ != nullptr) controller_->RecordVerdict(t->type(), why);
     }
   }
 }
@@ -573,24 +498,19 @@ void LockManager::CheckGrantInvariants(const LockShard& shard,
                                        const LockQueue& q,
                                        const LockTarget& target,
                                        uint64_t my_seq, SubTxn* t,
-                                       bool is_write, CcMode mode) {
+                                       bool is_write) {
   (void)shard;
   // Independently re-derive the grant decision: every other granted (or
   // earlier-queued, FCFS) entry must pass test-conflict against `t`. A
-  // non-nil verdict here means the fast path granted a conflicting request.
+  // non-nil verdict here means the scan granted a conflicting request.
   for (const LockEntry& e : q.entries) {
     if (e.acquirer == t) continue;
     if (!e.granted && (e.seq > my_seq || t->compensation())) continue;
-    // Mirror the scan's mode dispatch: prudent scans may bypass any earlier
-    // *waiting* entry (bounded FCFS relaxation), so waiting entries carry
-    // no grant obligation here; granted entries are checked as always.
-    if (!e.granted && mode == CcMode::kPrudent) continue;
     // Mirror the scan's key-range precheck: a disjoint-interval pair is nil
-    // by key disjointness even where the matrix conflicts (k2PL mode runs
-    // conflict-only and takes no key-range relief).
-    if (mode != CcMode::k2PL && KeyIntervalsDisjoint(e, target)) continue;
+    // by key disjointness even where the matrix conflicts.
+    if (KeyIntervalsDisjoint(e, target)) continue;
     ConflictOutcome why = ConflictOutcome::kNoLock;
-    SubTxn* b = TestConflict(e, t, is_write, mode, &why);
+    SubTxn* b = TestConflict(e, t, is_write, &why);
     if (b != nullptr) {
       inv_stats_.grant_violations.fetch_add(1, std::memory_order_relaxed);
       InvariantViolation(
@@ -617,17 +537,6 @@ void LockManager::CheckQueueInvariants(const LockShard& shard,
       InvariantViolation("retained", "waiting entry owned by completed txn " +
                                          std::to_string(e.acquirer->id()) +
                                          " (" + e.acquirer->method() + ")");
-    }
-    // Coalescing discipline: only *granted* entries absorb repeated
-    // identical acquisitions; a waiting entry always represents exactly
-    // one request, and no live entry can have an empty count.
-    if (e.count == 0 || (!e.granted && e.count != 1)) {
-      inv_stats_.coalesce_violations.fetch_add(1, std::memory_order_relaxed);
-      InvariantViolation(
-          "coalesce", "entry " + e.acquirer->method() + " (txn " +
-                          std::to_string(e.acquirer->id()) + ") is " +
-                          (e.granted ? "granted" : "waiting") + " with count " +
-                          std::to_string(e.count));
     }
   }
 }
@@ -763,37 +672,17 @@ inline bool MaskHasShard(uint64_t mask, size_t idx) {
 std::list<LockEntry>::iterator LockManager::AppendEntry(
     LockShard& shard, LockQueue& q, const LockTarget& target, SubTxn* t,
     bool is_write, bool granted, uint64_t seq) {
-  const LockEntry entry{t,       t,   t->method_id(),
-                        is_write,     granted,
-                        /*count=*/1,  seq,
-                        target.key_lo, target.key_hi, target.has_interval};
-  if (options_.pool_entries && !shard.free_entries.empty()) {
-    q.entries.splice(q.entries.end(), shard.free_entries,
-                     shard.free_entries.begin());
-    q.entries.back() = entry;
-  } else {
-    q.entries.push_back(entry);
-  }
-  // Membership grew: any published grant-cache slot on this queue may now
-  // owe the new entry FCFS priority — invalidate them all.
-  q.epoch.fetch_add(1, std::memory_order_release);
+  (void)shard;  // capability-only parameter (REQUIRES(shard.mu))
+  q.entries.push_back(LockEntry{t, t, t->method_id(), is_write, granted, seq,
+                                target.key_lo, target.key_hi,
+                                target.has_interval});
   return std::prev(q.entries.end());
-}
-
-void LockManager::RecycleEntry(LockShard& shard, LockQueue& q,
-                               std::list<LockEntry>::iterator it) {
-  if (options_.pool_entries &&
-      shard.free_entries.size() < kMaxPooledEntries) {
-    shard.free_entries.splice(shard.free_entries.begin(), q.entries, it);
-  } else {
-    q.entries.erase(it);
-  }
 }
 
 void LockManager::RemoveWaiter(LockShard& shard, const LockTarget& target,
                                LockQueue& q,
                                std::list<LockEntry>::iterator my_it) {
-  RecycleEntry(shard, q, my_it);
+  q.entries.erase(my_it);
   if (q.entries.empty()) shard.table.erase(target);
   // Our waiting entry may have been blocking later-queued requests (FCFS);
   // wake this shard so they re-scan.
@@ -803,109 +692,6 @@ void LockManager::RemoveWaiter(LockShard& shard, const LockTarget& target,
 void LockManager::EraseWaitRecord(SubTxn* t) {
   MutexLock g(graph_mu_);
   waits_.erase(t);
-}
-
-bool LockManager::TryFastPath(SubTxn* t, const LockTarget& target,
-                              bool is_write, bool* cache_miss,
-                              uint32_t* shard_idx) {
-  *cache_miss = false;
-  // Gates: mechanism enabled and meaningful for this protocol; never while
-  // the debug checker is on (every grant must pass through the mutex-path
-  // checks); never once the transaction is flagged for abort.
-  if (!options_.lock_fast_path ||
-      SEMCC_PREDICT_FALSE(options_.debug_lock_checks) ||
-      !SemanticFastPathApplies(t)) {
-    return false;
-  }
-  SubTxn* root = t->root();
-  if (root->abort_requested()) return false;
-  // Past the gates: the request is fast-path eligible, so a false return
-  // from here on is a grant-cache miss.
-  *cache_miss = true;
-  GrantCache* cache = root->grant_cache();
-  if (cache == nullptr) return false;
-  GrantCache::Slot* slot = cache->Find(target);
-  if (slot == nullptr) return false;
-  // The requester must be in the published verdict class: same manager,
-  // same parent (hence identical ancestor chains on both sides of any
-  // test-conflict), same method/mode/type, and matching args unless the
-  // method's verdicts are argument-insensitive.
-  if (slot->manager != this || slot->parent != t->parent() ||
-      slot->method_id != t->method_id() || slot->is_write != is_write ||
-      slot->type != t->type()) {
-    return false;
-  }
-  if (slot->args_matter && !(*slot->args == t->args())) return false;
-  // The published entry's key-interval annotation must match exactly: an
-  // args-insensitive method can still derive a different interval per
-  // invocation, and foreign scans judge this verdict class by the published
-  // entry's interval. Vacuously true while keyrange_locks is off.
-  if (slot->key_lo != target.key_lo || slot->key_hi != target.key_hi ||
-      slot->has_interval != target.has_interval) {
-    return false;
-  }
-  // Queue membership unchanged since publication? Appends bump the epoch
-  // under the shard mutex; an acquire load here orders the check after any
-  // append we could possibly owe FCFS priority to. A concurrent in-flight
-  // append linearizes this grant before that arrival — either order is
-  // legal, and the newcomer's own scan tests against the published entry,
-  // which answers for this whole verdict class.
-  if (slot->queue->epoch.load(std::memory_order_acquire) != slot->epoch) {
-    return false;
-  }
-  *shard_idx = slot->shard_idx;
-  return true;
-}
-
-LockEntry* LockManager::FindCoalescible(const LockShard& shard, LockQueue& q,
-                                        const LockTarget& target, SubTxn* t,
-                                        bool is_write) {
-  (void)shard;  // capability-only parameter (REQUIRES(shard.mu))
-  for (LockEntry& e : q.entries) {
-    if (!e.granted || e.acquirer == t) continue;
-    SubTxn* a = e.acquirer;
-    if (a->root() != t->root() || a->parent() != t->parent()) continue;
-    if (e.method_id != t->method_id() || e.is_write != is_write ||
-        a->type() != t->type() || a->object() != t->object()) {
-      continue;
-    }
-    // Only an entry carrying the identical key-interval annotation may
-    // absorb this request: foreign scans derive disjointness verdicts from
-    // the entry's interval, which must answer for every coalesced
-    // acquisition. Vacuously true while keyrange_locks is off.
-    if (e.key_lo != target.key_lo || e.key_hi != target.key_hi ||
-        e.has_interval != target.has_interval) {
-      continue;
-    }
-    if (a->compensation()) continue;  // keep compensation entries distinct
-    if (compat_->ArgsMatter(t->type(), t->method_id()) &&
-        !(a->args() == t->args())) {
-      continue;
-    }
-    return &e;
-  }
-  return nullptr;
-}
-
-void LockManager::PublishSlot(LockQueue& q, const LockTarget& target,
-                              SubTxn* t, bool is_write,
-                              const LockEntry* entry, uint32_t shard_idx) {
-  GrantCache::Slot slot;
-  slot.manager = this;
-  slot.queue = &q;
-  slot.entry = entry;
-  slot.epoch = q.epoch.load(std::memory_order_relaxed);
-  slot.shard_idx = shard_idx;
-  slot.parent = t->parent();
-  slot.method_id = t->method_id();
-  slot.type = t->type();
-  slot.is_write = is_write;
-  slot.args_matter = compat_->ArgsMatter(t->type(), t->method_id());
-  slot.args = &t->args();
-  slot.key_lo = target.key_lo;
-  slot.key_hi = target.key_hi;
-  slot.has_interval = target.has_interval;
-  t->root()->EnsureGrantCache().Put(target, slot);
 }
 
 void LockManager::AnnotateKeyInterval(SubTxn* t, LockTarget* target) const {
@@ -923,18 +709,6 @@ void LockManager::AnnotateKeyInterval(SubTxn* t, LockTarget* target) const {
   }
 }
 
-CcMode LockManager::AcquireMode(SubTxn* t) const {
-  if (!SEMCC_PREDICT_FALSE(options_.adaptive_mode)) return CcMode::kSemantic;
-  if (options_.protocol != Protocol::kSemanticONT) return CcMode::kSemantic;
-  // The mode comes from the transaction's pinned snapshot (set by
-  // TxnManager before the first action), never from the controller's live
-  // assignment — the pin is what guarantees one mode per type for the whole
-  // transaction across controller flips.
-  const ModeSnapshot* snap = t->root()->mode_snapshot();
-  if (snap == nullptr) return CcMode::kSemantic;
-  return snap->ModeFor(t->type());
-}
-
 Status LockManager::Acquire(SubTxn* t, const LockTarget& requested,
                             bool is_write) {
   // Local annotated copy: the interval is derived per (method, args), not
@@ -942,35 +716,9 @@ Status LockManager::Acquire(SubTxn* t, const LockTarget& requested,
   // the same (space, key) the caller named.
   LockTarget target = requested;
   AnnotateKeyInterval(t, &target);
-  // Latched once per Acquire: every conflict test, the debug checker, and
-  // the fast-path gates below see the same mode.
-  const CcMode mode = AcquireMode(t);
   const bool tracing = trace::Active(options_.trace);
-  bool cache_miss = false;
-  uint32_t idx = 0;
-  // The grant cache, like coalescing below, publishes and reuses verdicts
-  // derived under full semantic testing — only pure kSemantic requests may
-  // touch it (k2PL derives stricter verdicts, kPrudent non-FCFS ones).
-  if (mode == CcMode::kSemantic &&
-      TryFastPath(t, target, is_write, &cache_miss, &idx)) {
-    // Counter attribution is two relaxed fetch_adds on this shard's own
-    // stripe; the shard index comes from the slot, not a fresh hash.
-    counters_.Inc(idx, kCtrAcquires);
-    counters_.Inc(idx, kCtrFastPathHits);
-    if (controller_ != nullptr) {
-      controller_->RecordAcquire(t->type(), /*blocked=*/false);
-    }
-    t->set_grant_seq(NextSeq());
-    if (tracing) {
-      EmitLockEvent(trace::EventKind::kFastPathGrant, t, target, idx,
-                    ConflictOutcome::kNoLock, nullptr, 0,
-                    is_write ? trace::kFlagIsWrite : 0);
-    }
-    return Status::OK();
-  }
   const uint32_t shard_idx = ShardIndexOf(target);
   counters_.Inc(shard_idx, kCtrAcquires);
-  if (cache_miss) counters_.Inc(shard_idx, kCtrFastPathMisses);
   if (t->root()->abort_requested() && !t->compensation()) {
     // Same outcome the wait loop's top produced before the restructure —
     // derived before any entry exists, so there is nothing to withdraw.
@@ -985,35 +733,15 @@ Status LockManager::Acquire(SubTxn* t, const LockTarget& requested,
   // Pre-append scan at the next (unconsumed) seq: no existing entry can
   // have a larger one, so "blockers empty" here means the WHOLE queue —
   // granted entries and waiters of any arrival order — tests nil against
-  // t. That is exactly the FCFS verdict the old append-first code derived,
-  // and it doubles as the grant-cache publication condition.
+  // t. That is exactly the FCFS verdict the old append-first code derived.
   ScanResult scan;
   const uint64_t peek_seq = shard.next_entry_seq;
-  CollectBlockers(shard, q, target, peek_seq, t, is_write, mode, shard_idx,
-                  /*count_stats=*/true, /*memoize=*/false, &scan);
-  if (controller_ != nullptr) {
-    controller_->RecordAcquire(t->type(), !scan.blockers.empty());
-  }
+  CollectBlockers(shard, q, target, peek_seq, t, is_write, shard_idx,
+                  /*count_stats=*/true, &scan);
   if (scan.blockers.empty()) {
-    const bool semantic_fast =
-        SemanticFastPathApplies(t) && mode == CcMode::kSemantic;
-    LockEntry* entry = nullptr;
-    if (semantic_fast && options_.coalesce_entries) {
-      entry = FindCoalescible(shard, q, target, t, is_write);
-    }
-    if (entry != nullptr) {
-      // Identical grant already in the queue: absorb this acquisition into
-      // its count. No new entry, no seq consumed, no epoch bump — foreign
-      // scans keep deriving the exact verdicts they would have derived
-      // against a duplicate entry of the same class.
-      ++entry->count;
-      counters_.Inc(shard_idx, kCtrCoalescedGrants);
-    } else {
-      shard.next_entry_seq++;
-      entry = &*AppendEntry(shard, q, target, t, is_write, /*granted=*/true,
-                            peek_seq);
-      counters_.Inc(shard_idx, kCtrGrantedEntries);
-    }
+    shard.next_entry_seq++;
+    AppendEntry(shard, q, target, t, is_write, /*granted=*/true, peek_seq);
+    counters_.Inc(shard_idx, kCtrGrantedEntries);
     t->set_grant_seq(NextSeq());
     if (tracing) {
       EmitLockEvent(trace::EventKind::kGrant, t, target, shard_idx,
@@ -1022,13 +750,10 @@ Status LockManager::Acquire(SubTxn* t, const LockTarget& requested,
     }
     if (SEMCC_PREDICT_FALSE(options_.debug_lock_checks)) {
       inv_stats_.checks.fetch_add(1, std::memory_order_relaxed);
-      CheckGrantInvariants(shard, q, target, peek_seq, t, is_write, mode);
+      CheckGrantInvariants(shard, q, target, peek_seq, t, is_write);
       CheckQueueInvariants(shard, q);
       MutexLock g(graph_mu_);
       RecordLockOrder(t, target);
-    } else if (semantic_fast && options_.lock_fast_path &&
-               !t->root()->abort_requested()) {
-      PublishSlot(q, target, t, is_write, entry, shard_idx);
     }
     return Status::OK();
   }
@@ -1060,23 +785,19 @@ Status LockManager::Acquire(SubTxn* t, const LockTarget& requested,
       return Status::Aborted("transaction abort requested while locking " +
                              target.ToString());
     }
-    CollectBlockers(shard, q, target, my_seq, t, is_write, mode, shard_idx,
-                    /*count_stats=*/false, options_.memoize_conflicts, &scan);
+    CollectBlockers(shard, q, target, my_seq, t, is_write, shard_idx,
+                    /*count_stats=*/false, &scan);
     if (scan.blockers.empty()) {
       my_it->granted = true;
       counters_.Inc(shard_idx, kCtrGrantedEntries);
       t->set_grant_seq(NextSeq());
       if (SEMCC_PREDICT_FALSE(options_.debug_lock_checks)) {
         inv_stats_.checks.fetch_add(1, std::memory_order_relaxed);
-        CheckGrantInvariants(shard, q, target, my_seq, t, is_write, mode);
+        CheckGrantInvariants(shard, q, target, my_seq, t, is_write);
         CheckQueueInvariants(shard, q);
         MutexLock g(graph_mu_);
         RecordLockOrder(t, target);
       }
-      // No grant-cache publication here: entries queued after ours may
-      // already be waiting (FCFS), so the whole-queue publication
-      // condition does not hold at my_seq. The next identical acquire
-      // re-derives and republishes from the pre-append scan above.
       uint64_t waited_us = 0;
       if (ever_blocked) {
         EraseWaitRecord(t);
@@ -1219,7 +940,7 @@ void LockManager::OnSubTxnCompleted(SubTxn* t) {
             for (auto e = q.entries.begin(); e != q.entries.end();) {
               if (e->granted && t->IsAncestorOf(e->acquirer)) {
                 counters_.Inc(i, kCtrReleasedEntries);
-                RecycleEntry(shard, q, e++);
+                e = q.entries.erase(e);
                 changed = true;
               } else {
                 ++e;
@@ -1282,11 +1003,6 @@ void LockManager::OnSubTxnCompleted(SubTxn* t) {
 }
 
 void LockManager::ReleaseTree(SubTxn* root) {
-  // Invalidate the tree's published grants BEFORE any of its entries leave
-  // a queue, so no slot can outlive the entry it points at. (The cache is
-  // the tree's executing thread's data; by the time ReleaseTree is legal,
-  // no action of the tree can still be acquiring.)
-  root->ClearGrantCache();
   if (trace::Active(options_.trace)) {
     EmitLockEvent(trace::EventKind::kRelease, root, LockTarget{}, 0,
                   ConflictOutcome::kNoLock, nullptr, 0, 0);
@@ -1306,7 +1022,7 @@ void LockManager::ReleaseTree(SubTxn* root) {
       for (auto e = q.entries.begin(); e != q.entries.end();) {
         if (e->acquirer->root() == root) {
           if (e->granted) counters_.Inc(i, kCtrReleasedEntries);
-          RecycleEntry(shard, q, e++);
+          e = q.entries.erase(e);
           changed = true;
         } else {
           ++e;
@@ -1366,7 +1082,7 @@ std::vector<LockManager::LockInfo> LockManager::LocksOn(
   for (const LockEntry& e : it->second.entries) {
     out.push_back(LockInfo{e.acquirer->id(), e.acquirer->root()->id(),
                            e.acquirer->method(), e.granted,
-                           e.acquirer->completed(), e.count});
+                           e.acquirer->completed()});
   }
   return out;
 }

@@ -35,15 +35,6 @@
 // path. With ProtocolOptions::debug_lock_checks the manager additionally
 // re-derives the protocol invariants on every grant/release (see
 // cc/lock_invariants.h).
-//
-// Common-case acquire fast path (DESIGN.md §5.4): under the semantic
-// protocol with retained locks, a repeated identical acquisition by the
-// same transaction is served from a per-tree grant cache without touching
-// the shard (cc/grant_cache.h), identical granted acquisitions coalesce
-// onto one queue entry (LockEntry::count), nil conflict verdicts are
-// memoized across a blocked request's re-scans, and queue nodes are pooled
-// on a per-shard freelist. Each mechanism is gated by a ProtocolOptions
-// flag and none of them changes a grant/block verdict.
 #ifndef SEMCC_CC_LOCK_MANAGER_H_
 #define SEMCC_CC_LOCK_MANAGER_H_
 
@@ -61,7 +52,6 @@
 #include <vector>
 
 #include "cc/compatibility.h"
-#include "cc/grant_cache.h"
 #include "cc/lock_invariants.h"
 #include "cc/lock_target.h"
 #include "cc/method_interner.h"
@@ -94,63 +84,6 @@ const char* ProtocolName(Protocol p);
 enum class LockGranularity : int { kObject = 0, kRecord = 1, kPage = 2 };
 
 const char* GranularityName(LockGranularity g);
-
-/// \brief Per-object-type concurrency mode chosen by the adaptive controller
-/// (cc/adaptive_controller.h, DESIGN.md §5.9). Only meaningful under
-/// Protocol::kSemanticONT with ProtocolOptions::adaptive_mode on; every
-/// transaction latches one mode per acquired type for its whole lifetime
-/// (the pinned ModeSnapshot), so no verdict ever mixes modes mid-flight.
-enum class CcMode : uint8_t {
-  /// The paper's full semantic protocol (commutativity + ancestor walk).
-  kSemantic = 0,
-  /// Commutativity matrix forced to conflict-only and the ancestor walk
-  /// skipped: every foreign conflict is a root wait. Strictly more
-  /// conservative than kSemantic, hence always sound; cheaper per test
-  /// where commutativity never wins anyway.
-  k2PL = 1,
-  /// Semantic testing plus bounded precedence relaxation on hot queues:
-  /// a requester may bypass up to AdaptiveOptions::prudent_bypass_limit
-  /// earlier *waiting* (never granted) entries instead of queueing behind
-  /// them — FCFS fairness is relaxed, serializability is not (granted
-  /// locks are always fully tested).
-  kPrudent = 2,
-};
-
-const char* CcModeName(CcMode m);
-
-/// \brief Thresholds and pacing for the adaptive mode controller
-/// (cc/adaptive_controller.h; read only when ProtocolOptions::adaptive_mode
-/// is on). Shares are fractions in [0, 1] over one sample window; the
-/// promote/demote pairs are deliberately separated (hysteresis) so a type
-/// sitting on a threshold does not oscillate.
-struct AdaptiveOptions {
-  /// Background sampling period (only with background_thread).
-  int64_t sample_interval_micros = 50000;
-  /// Epochs a type must spend in its current mode before it may flip again.
-  int min_dwell_epochs = 2;
-  /// Minimum conflict-test samples in a window before any decision is made.
-  uint64_t min_conflict_samples = 32;
-  /// kSemantic -> k2PL when the commute+case1 share of conflict tests falls
-  /// below this (the ancestor walk is not paying for itself).
-  double demote_commute_share = 0.05;
-  /// k2PL -> kSemantic when the *shadow-sampled* commute share rises above
-  /// this. Must exceed demote_commute_share (hysteresis band).
-  double promote_commute_share = 0.20;
-  /// kSemantic -> kPrudent when the blocked share of acquires exceeds this
-  /// while commutativity still wins (convoy on a hot shard).
-  double hot_blocked_share = 0.50;
-  /// kPrudent -> kSemantic when the blocked share falls below this.
-  double cool_blocked_share = 0.20;
-  /// Earlier waiting entries one prudent-mode scan may bypass.
-  int prudent_bypass_limit = 4;
-  /// Run a sampling thread inside the controller (benches / production).
-  /// Off: the owner drives epochs explicitly via SampleNow() (tests).
-  bool background_thread = false;
-  /// Pin every type to this CcMode value (0/1/2) and never flip — the
-  /// static-configuration ablation the phase-shift bench compares against.
-  /// -1 (default) adapts normally.
-  int pin_mode = -1;
-};
 
 struct ProtocolOptions {
   Protocol protocol = Protocol::kSemanticONT;
@@ -194,33 +127,6 @@ struct ProtocolOptions {
   /// tracked as a diagnostic only.
   bool invariant_violations_fatal = false;
 
-  // --- acquire fast-path controls (DESIGN.md §5.4) -------------------------
-  // All verdict-preserving; each defaults on and exists so bench_ablation
-  // can price it individually. The first two apply only under
-  // kSemanticONT with retain_locks (elsewhere entry lifetimes are
-  // foreign-visible before top-level end); memoization and pooling apply
-  // to every protocol.
-
-  /// Serve repeated identical granted acquisitions from the per-tree grant
-  /// cache without taking the shard mutex. Automatically disabled while
-  /// debug_lock_checks is on so every grant still passes through the
-  /// checker (coalescing below then covers the mutex path).
-  bool lock_fast_path = true;
-
-  /// Coalesce a repeated identical acquisition onto the existing granted
-  /// entry (bump LockEntry::count) instead of appending a duplicate, so
-  /// queue length tracks distinct conflict classes, not actions.
-  bool coalesce_entries = true;
-
-  /// Memoize nil test-conflict verdicts per (entry, seq) across the
-  /// re-scans of one blocked Acquire (nil verdicts are stable in time; see
-  /// DESIGN.md §5.4), skipping the repeated O(depth^2) ancestor walks.
-  bool memoize_conflicts = true;
-
-  /// Recycle queue nodes through a per-shard freelist instead of
-  /// heap-allocating per entry.
-  bool pool_entries = true;
-
   /// Emit structured lock-decision events (grants, blocks, verdicts,
   /// wakeups, completions) into the per-thread trace rings of util/trace.h
   /// for this database. The SEMCC_TRACE environment variable enables the
@@ -250,25 +156,12 @@ struct ProtocolOptions {
   /// and the scan degenerates to the matrix path). Default off for
   /// ablation.
   bool keyrange_locks = false;
-
-  /// Adaptive per-type mode selection (DESIGN.md §5.9): attach an
-  /// AdaptiveController that samples the live verdict breakdown and wait
-  /// histograms and switches each object type between full semantic
-  /// locking, plain 2PL (conflict-only matrix, no ancestor walk), and the
-  /// prudent contention-tolerant mode. kSemanticONT only. Off (default):
-  /// no controller exists, no transaction pins a mode snapshot, and every
-  /// code path is bit-for-bit the static semantic protocol.
-  bool adaptive_mode = false;
-
-  /// Controller thresholds/pacing; read only when adaptive_mode is on.
-  AdaptiveOptions adaptive;
 };
 
 // LockTarget and LockTargetHash live in cc/lock_target.h (included above);
 // they are re-exported here for the many existing includers.
 
-/// \brief One lock-table entry. Namespace scope (not nested in LockManager)
-/// so cc/grant_cache.h can forward-declare it.
+/// \brief One lock-table entry: one per granted or waiting acquisition.
 struct LockEntry {
   SubTxn* acquirer;  ///< the action that requested the lock (mode source)
   SubTxn* owner;     ///< current owner (differs from acquirer only after
@@ -276,11 +169,6 @@ struct LockEntry {
   MethodId method_id;  ///< acquirer->method_id(), cached for locality
   bool is_write;
   bool granted;
-  /// Identical same-class acquisitions coalesced onto this entry (see
-  /// ProtocolOptions::coalesce_entries). Always 1 while waiting. Mutated
-  /// and read under the shard mutex only; grant-cache fast-path hits are
-  /// counted in LockStats::fast_path_hits instead of here.
-  uint32_t count;
   uint64_t seq;  ///< FCFS arrival order (per shard; never reused)
   /// Closed key interval this entry's method touches within the object
   /// (ProtocolOptions::keyrange_locks; copied from the annotated target at
@@ -296,13 +184,6 @@ struct LockEntry {
 /// \brief Per-target queue of lock entries.
 struct LockQueue {
   std::list<LockEntry> entries;
-  /// Append epoch: bumped (under the shard mutex) whenever an entry is
-  /// added. Published grant-cache slots record the value at publication;
-  /// a mismatch on the lock-free read side means queue membership may owe
-  /// a newer waiter FCFS priority, so the requester takes the mutex path.
-  /// Removals deliberately do NOT bump it — removing an entry can only
-  /// remove blockers, never create one (DESIGN.md §5.4).
-  std::atomic<uint64_t> epoch{0};
 };
 
 /// \brief Why test-conflict produced its verdict (stats + scenario tests).
@@ -338,22 +219,18 @@ struct LockStats {
   uint64_t retained_hits = 0;
   uint64_t deadlocks = 0;
   uint64_t timeouts = 0;
-  /// Acquires served lock-free from the per-tree grant cache (§5.4).
+  /// Always zero. The grant cache, entry coalescing and verdict memo these
+  /// counted were removed (DESIGN.md §5.4); the fields remain only because
+  /// the end-to-end benchmark harness (semcc_bench/harness.cc) still reads
+  /// them into its cc.fast_path_share / cc.coalesced_share / cc.memo_hits
+  /// metrics. Drop them together with those metrics.
   uint64_t fast_path_hits = 0;
-  /// Fast-path-eligible acquires the grant cache could not serve.
-  uint64_t fast_path_misses = 0;
-  /// Mutex-path grants absorbed into an existing entry's count.
   uint64_t coalesced_grants = 0;
-  /// Conflict tests answered from the per-request nil-verdict memo.
   uint64_t memo_hits = 0;
   /// Queue entries skipped by the key-interval disjointness precheck
   /// (ProtocolOptions::keyrange_locks) — pairs that never reached the
   /// compatibility matrix because their key intervals cannot overlap.
   uint64_t keyrange_skips = 0;
-  /// Earlier waiting entries bypassed by prudent-mode scans
-  /// (ProtocolOptions::adaptive_mode, CcMode::kPrudent) — bounded FCFS
-  /// relaxations that let a hot-shard requester jump a waiter convoy.
-  uint64_t prudent_bypasses = 0;
   /// Queue entries that became granted / granted entries removed. At a
   /// quiescent point with every transaction finished these are equal;
   /// mid-run their difference is the number of granted (active + retained)
@@ -368,9 +245,6 @@ struct LockStats {
   std::string ToString() const;
   std::string ToJson() const;
 };
-
-class AdaptiveController;  // cc/adaptive_controller.h
-struct ModeSnapshot;       // cc/adaptive_controller.h
 
 /// \brief The lock manager. One instance per database.
 class LockManager {
@@ -429,16 +303,6 @@ class LockManager {
   LockStats shard_stats(uint32_t shard) const;
   const ProtocolOptions& options() const { return options_; }
 
-  /// Attach the adaptive mode controller (ProtocolOptions::adaptive_mode).
-  /// Must be called before any Acquire — Database wires it at construction,
-  /// which happens-before every worker thread. With a controller attached,
-  /// first-scan conflict verdicts are mirrored into its per-type counters
-  /// and each Acquire dispatches on the requester's pinned mode snapshot.
-  void SetAdaptiveController(AdaptiveController* controller) {
-    controller_ = controller;
-  }
-  AdaptiveController* adaptive_controller() const { return controller_; }
-
   /// Actual shard count after clamping (power of two in [1, kMaxShards]).
   int num_shards() const { return static_cast<int>(shards_.size()); }
   /// Shard index `target` maps to — exposed for dispersion tests.
@@ -463,7 +327,6 @@ class LockManager {
     std::string method;
     bool granted;
     bool retained;  ///< owner completed but lock still present
-    uint32_t count;  ///< coalesced identical acquisitions on this entry
   };
   std::vector<LockInfo> LocksOn(const LockTarget& target) const;
 
@@ -471,10 +334,6 @@ class LockManager {
   size_t NumWaiters() const SEMCC_EXCLUDES(graph_mu_);
 
  private:
-  /// Freelist entries kept per shard before RecycleEntry falls back to
-  /// freeing (bounds idle memory after a queue-heavy burst).
-  static constexpr size_t kMaxPooledEntries = 1024;
-
   /// One lock-table shard: a slice of the target space with its own mutex
   /// and condvar. Waiters on this shard's queues sleep on `cv`; events wake
   /// a shard only when they may unblock one of its queues.
@@ -484,9 +343,6 @@ class LockManager {
     std::unordered_map<LockTarget, LockQueue, LockTargetHash> table
         SEMCC_GUARDED_BY(mu);
     uint64_t next_entry_seq SEMCC_GUARDED_BY(mu) = 0;
-    /// Node pool (ProtocolOptions::pool_entries): recycled std::list nodes,
-    /// moved in and out of queues by splicing — no allocation either way.
-    std::list<LockEntry> free_entries SEMCC_GUARDED_BY(mu);
   };
 
   /// Set of shard indices to notify once all locks are dropped.
@@ -517,13 +373,6 @@ class LockManager {
     /// which purges queue entries under this shard's mutex and therefore
     /// cannot be missed.
     std::vector<SubTxn*> completion_watch;
-    /// Memoized NIL verdicts (ProtocolOptions::memoize_conflicts), keyed by
-    /// entry address with the entry seq as ABA guard against pooled-node
-    /// reuse. Nil verdicts are stable for a fixed (entry, requester) —
-    /// subtransaction states only move active -> terminal, which never
-    /// turns a nil verdict non-nil (DESIGN.md §5.4) — so the memo survives
-    /// re-scans (Clear() leaves it alone) and dies with the Acquire call.
-    std::unordered_map<const LockEntry*, uint64_t> nil_verdicts;
     void Clear() {
       blockers.clear();
       completion_watch.clear();
@@ -549,13 +398,10 @@ class LockManager {
   /// The paper's test-conflict(h, r): nil (nullptr) or the (sub)transaction
   /// whose completion r must wait for. Sets *why. Reads only SubTxn state
   /// (atomics) and the compatibility registry — no lock-manager mutex.
-  /// `mode` is the requester's latched CcMode (kSemantic unless adaptive);
-  /// it selects between the full semantic test and the conflict-only 2PL
-  /// short-circuit and is fixed for the whole Acquire.
   SubTxn* TestConflict(const LockEntry& h, SubTxn* r, bool r_is_write,
-                       CcMode mode, ConflictOutcome* why) const;
+                       ConflictOutcome* why) const;
 
-  SubTxn* TestConflictSemantic(const LockEntry& h, SubTxn* r, CcMode mode,
+  SubTxn* TestConflictSemantic(const LockEntry& h, SubTxn* r,
                                ConflictOutcome* why) const;
   SubTxn* TestConflictClosed(const LockEntry& h, SubTxn* r, bool r_is_write,
                              ConflictOutcome* why) const;
@@ -565,20 +411,13 @@ class LockManager {
   /// Blockers of `t` against queue `q` given its own entry seq, written
   /// into *out (cleared first). `stripe` is the shard index, for counter
   /// attribution. With count_stats, classify each verdict into the counter
-  /// bank (first scan of an Acquire only). With memoize, serve and
-  /// record nil verdicts in out->nil_verdicts — only worth paying for on
-  /// the wait loop's re-scans, never on the first scan of an Acquire that
-  /// may well grant immediately.
-  /// `target` carries the requester's key-interval annotation (if any) for
-  /// the keyrange_locks disjointness precheck. `mode` is the requester's
-  /// latched CcMode: k2PL additionally disables the keyrange precheck and
-  /// (with a controller attached) shadow-samples the semantic verdict;
-  /// kPrudent may bypass a bounded number of earlier waiting entries.
+  /// bank (first scan of an Acquire only). `target` carries the
+  /// requester's key-interval annotation (if any) for the keyrange_locks
+  /// disjointness precheck.
   void CollectBlockers(const LockShard& shard, const LockQueue& q,
                        const LockTarget& target, uint64_t my_seq, SubTxn* t,
-                       bool is_write, CcMode mode, uint32_t stripe,
-                       bool count_stats, bool memoize, ScanResult* out)
-      SEMCC_REQUIRES(shard.mu);
+                       bool is_write, uint32_t stripe, bool count_stats,
+                       ScanResult* out) SEMCC_REQUIRES(shard.mu);
 
   /// Withdraw `t`'s queue entry and wake this shard (abandon paths of
   /// Acquire: abort, deadlock victim, timeout). The caller separately
@@ -586,28 +425,6 @@ class LockManager {
   void RemoveWaiter(LockShard& shard, const LockTarget& target, LockQueue& q,
                     std::list<LockEntry>::iterator my_it)
       SEMCC_REQUIRES(shard.mu);
-
-  // --- acquire fast path (DESIGN.md §5.4) ---------------------------------
-
-  /// Do the semantic fast-path mechanisms (grant cache, coalescing) apply
-  /// to this request at all? Requires the semantic protocol with retained
-  /// locks — elsewhere entry lifetimes are foreign-visible before
-  /// top-level end — and excludes compensating actions, which are exempt
-  /// from FCFS and must not publish or reuse FCFS-shaped verdicts.
-  bool SemanticFastPathApplies(SubTxn* t) const {
-    return options_.protocol == Protocol::kSemanticONT &&
-           options_.retain_locks && !t->compensation();
-  }
-
-  /// Lock-free grant via the per-tree grant cache: true iff `t` matches a
-  /// published slot's verdict class and the queue epoch is unchanged. On
-  /// true the caller grants without touching the shard, and `*shard_idx`
-  /// holds the slot's shard (recorded at publication — saves the hit path
-  /// the target hash). `*cache_miss` is set when the request was fast-path
-  /// eligible but the cache could not serve it (the grant-cache miss
-  /// counter; valid on a false return).
-  bool TryFastPath(SubTxn* t, const LockTarget& target, bool is_write,
-                   bool* cache_miss, uint32_t* shard_idx);
 
   /// Stamp `target` with the key interval t's (method, args) touches inside
   /// the object, per the registry's method specs (keyrange_locks under
@@ -624,39 +441,13 @@ class LockManager {
            (e.key_hi < target.key_lo || target.key_hi < e.key_lo);
   }
 
-  /// The existing granted entry a repeated identical acquisition may
-  /// coalesce onto: same root AND same parent (identical ancestor chain on
-  /// both sides of any future test-conflict), same method/mode/type, and
-  /// matching args unless the method is argument-insensitive. Null if none.
-  /// `target` additionally constrains the candidate's key interval: only an
-  /// entry carrying the *same* interval annotation may absorb the request
-  /// (an argument-insensitive method can still touch different keys per
-  /// invocation under keyrange_locks).
-  LockEntry* FindCoalescible(const LockShard& shard, LockQueue& q,
-                             const LockTarget& target, SubTxn* t,
-                             bool is_write) SEMCC_REQUIRES(shard.mu);
-
-  /// Append an entry for `t` (through the shard freelist when pooling is
-  /// on), copying `target`'s key-interval annotation into it, and bump the
-  /// queue's append epoch.
+  /// Append an entry for `t`, copying `target`'s key-interval annotation
+  /// into it.
   std::list<LockEntry>::iterator AppendEntry(LockShard& shard, LockQueue& q,
                                              const LockTarget& target,
                                              SubTxn* t, bool is_write,
                                              bool granted, uint64_t seq)
       SEMCC_REQUIRES(shard.mu);
-
-  /// Remove the entry at `it` from `q`, recycling the node onto the shard
-  /// freelist when pooling is on.
-  void RecycleEntry(LockShard& shard, LockQueue& q,
-                    std::list<LockEntry>::iterator it)
-      SEMCC_REQUIRES(shard.mu);
-
-  /// Publish `entry` (just granted to `t` with the WHOLE queue — granted
-  /// entries and waiters of any arrival order — testing nil against it) in
-  /// the root's grant cache. Caller verified the publication condition and
-  /// the option gates.
-  void PublishSlot(LockQueue& q, const LockTarget& target, SubTxn* t,
-                   bool is_write, const LockEntry* entry, uint32_t shard_idx);
 
   /// Erase t's wait record (if any) under the graph mutex.
   void EraseWaitRecord(SubTxn* t) SEMCC_EXCLUDES(graph_mu_);
@@ -677,11 +468,10 @@ class LockManager {
 
   /// Re-derive grant soundness for the entry `my_seq` of `t` that is about
   /// to be granted: every other granted/earlier entry must pass
-  /// test-conflict. Mirrors CollectBlockers' mode dispatch: under kPrudent
-  /// waiting entries are bypassable and therefore exempt here too.
+  /// test-conflict.
   void CheckGrantInvariants(const LockShard& shard, const LockQueue& q,
                             const LockTarget& target, uint64_t my_seq,
-                            SubTxn* t, bool is_write, CcMode mode)
+                            SubTxn* t, bool is_write)
       SEMCC_REQUIRES(shard.mu);
 
   /// Queue-local invariants: no waiting entry may belong to a completed
@@ -719,19 +509,8 @@ class LockManager {
                      ConflictOutcome verdict, SubTxn* blocker, uint64_t value,
                      uint8_t flags) const;
 
-  /// The CcMode this Acquire runs under: kSemantic unless adaptive_mode is
-  /// on AND the requester's root carries a pinned ModeSnapshot, in which
-  /// case the snapshot's per-type mode for t->type(). Latched once at the
-  /// top of Acquire — a transaction never changes mode mid-request.
-  CcMode AcquireMode(SubTxn* t) const;
-
   const ProtocolOptions options_;
   CompatibilityRegistry* const compat_;
-
-  /// Adaptive mode controller (null unless adaptive_mode; set once at
-  /// Database construction, before any worker thread exists — plain
-  /// pointer, published by the thread-creation happens-before edge).
-  AdaptiveController* controller_ = nullptr;
 
   /// Immutable after construction; shard state is guarded per shard.
   std::vector<std::unique_ptr<LockShard>> shards_;
@@ -757,12 +536,7 @@ class LockManager {
     kCtrRetainedHits,
     kCtrDeadlocks,
     kCtrTimeouts,
-    kCtrFastPathHits,
-    kCtrFastPathMisses,
-    kCtrCoalescedGrants,
-    kCtrMemoHits,
     kCtrKeyrangeSkips,
-    kCtrPrudentBypasses,
     kCtrGrantedEntries,
     kCtrReleasedEntries,
     kCtrWakeups,

@@ -1,9 +1,7 @@
 // Lock names and their hash.
 //
-// Split out of cc/lock_manager.h so that cc/grant_cache.h (which SubTxn
-// owns, and which the lock manager consults before touching a shard) can
-// key its slots by target without pulling the whole lock manager — and its
-// include of cc/subtxn.h — back in.
+// Split out of cc/lock_manager.h so that code naming lock targets does not
+// pull in the whole lock manager.
 #ifndef SEMCC_CC_LOCK_TARGET_H_
 #define SEMCC_CC_LOCK_TARGET_H_
 
@@ -19,9 +17,8 @@ namespace semcc {
 /// narrowed to a key interval within that object (keyrange_locks).
 ///
 /// The interval is an *annotation*, not part of the lock's identity: two
-/// targets naming the same object always share one queue (and one grant-
-/// cache slot family), so FCFS, coalescing, and invalidation stay per-
-/// object. The interval only feeds the conflict scan's disjointness
+/// targets naming the same object always share one queue, so FCFS order
+/// stays per-object. The interval only feeds the conflict scan's disjointness
 /// precheck — entries whose closed intervals [key_lo, key_hi] cannot
 /// overlap the requester's are skipped before the compatibility matrix is
 /// even consulted (DESIGN.md §5.8). operator== and LockTargetHash therefore

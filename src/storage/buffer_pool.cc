@@ -22,7 +22,7 @@ BufferPool::~BufferPool() {
   }
 }
 
-Result<size_t> BufferPool::Pin(PageId id, bool* hit) {
+Result<size_t> BufferPool::Pin(PageId id, bool load) {
   MutexLock guard(mu_);
   auto it = page_table_.find(id);
   if (it != page_table_.end()) {
@@ -35,11 +35,9 @@ Result<size_t> BufferPool::Pin(PageId id, bool* hit) {
       lru_pos_.erase(pos);
     }
     f->pin_count++;
-    *hit = true;
     hits_.fetch_add(1, std::memory_order_relaxed);
     return idx;
   }
-  *hit = false;
   misses_.fetch_add(1, std::memory_order_relaxed);
   size_t idx;
   if (!free_frames_.empty()) {
@@ -50,16 +48,28 @@ Result<size_t> BufferPool::Pin(PageId id, bool* hit) {
       return Status::OutOfSpace("buffer pool exhausted: all frames pinned");
     }
     idx = lru_.back();
-    lru_.pop_back();
-    lru_pos_.erase(idx);
     Frame* victim = frames_[idx].get();
     SEMCC_CHECK(victim->pin_count == 0);
     if (victim->dirty) {
+      // On failure the victim stays resident, dirty and in the LRU list.
       SEMCC_RETURN_NOT_OK(disk_->WritePage(victim->disk_id, victim->page.data()));
+      victim->dirty = false;
     }
+    lru_.pop_back();
+    lru_pos_.erase(idx);
     page_table_.erase(victim->disk_id);
   }
   Frame* f = frames_[idx].get();
+  if (load) {
+    Status st = disk_->ReadPage(id, f->page.data());
+    if (!st.ok()) {
+      f->disk_id = kInvalidPageId;
+      free_frames_.push_back(idx);
+      return st;
+    }
+  } else {
+    f->page.Reset(id);
+  }
   f->disk_id = id;
   f->pin_count = 1;
   f->dirty = false;
@@ -80,27 +90,15 @@ void BufferPool::Unpin(size_t frame_idx, bool dirty) {
 
 Result<PageGuard> BufferPool::NewPage() {
   const PageId id = disk_->AllocatePage();
-  bool hit = false;
-  SEMCC_ASSIGN_OR_RETURN(size_t idx, Pin(id, &hit));
-  Frame* f = frames_[idx].get();
-  f->page.Reset(id);
-  PageGuard guard(this, idx, &f->page);
+  SEMCC_ASSIGN_OR_RETURN(size_t idx, Pin(id, /*load=*/false));
+  PageGuard guard(this, idx, &frames_[idx]->page);
   guard.MarkDirty();
   return guard;
 }
 
 Result<PageGuard> BufferPool::FetchPage(PageId id) {
-  bool hit = false;
-  SEMCC_ASSIGN_OR_RETURN(size_t idx, Pin(id, &hit));
-  Frame* f = frames_[idx].get();
-  if (!hit) {
-    Status st = disk_->ReadPage(id, f->page.data());
-    if (!st.ok()) {
-      Unpin(idx, /*dirty=*/false);
-      return st;
-    }
-  }
-  return PageGuard(this, idx, &f->page);
+  SEMCC_ASSIGN_OR_RETURN(size_t idx, Pin(id, /*load=*/true));
+  return PageGuard(this, idx, &frames_[idx]->page);
 }
 
 Status BufferPool::FlushAll() {

@@ -58,9 +58,12 @@ class BufferPool {
   void Unpin(size_t frame_idx, bool dirty) SEMCC_EXCLUDES(mu_);
 
   /// Find a frame for `id`: hit, free frame, or LRU eviction. Returns the
-  /// frame index with pin_count already incremented. Caller must load/init
-  /// the page if `*loaded` is false.
-  Result<size_t> Pin(PageId id, bool* hit) SEMCC_EXCLUDES(mu_);
+  /// frame index with pin_count already incremented. On a miss the frame is
+  /// filled — read from disk if `load`, else reset to an empty page — before
+  /// `id` is published in the page table, all under mu_, so a concurrent
+  /// hit never sees a half-filled frame and a failed read leaves `id`
+  /// unmapped.
+  Result<size_t> Pin(PageId id, bool load) SEMCC_EXCLUDES(mu_);
 
   DiskManager* const disk_;
   Mutex mu_;

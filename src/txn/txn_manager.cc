@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <thread>
 
-#include "cc/adaptive_controller.h"
 #include "object/schema.h"
 #include "util/logging.h"
 #include "util/random.h"
@@ -83,14 +82,6 @@ Result<Value> TxnManager::RunAttempt(const std::string& name, const Body& body,
   SubTxn* root = tree.root();
   if (priority != 0) root->set_priority(priority);
   root->set_grant_seq(lm_->NextSeq());
-  // Adaptive mode: pin the current mode snapshot for this whole attempt so
-  // every Acquire in the tree sees one consistent per-type mode assignment
-  // (the controller's flips wait for all pins to drain).
-  const ModeSnapshot* pinned = nullptr;
-  if (controller_ != nullptr) {
-    pinned = controller_->Pin();
-    root->set_mode_snapshot(pinned);
-  }
   TxnCtx ctx(store_, lm_, methods_, &tree, logger_, versions_);
 
   const size_t stripe = metrics::ThreadStripeSlot();
@@ -112,7 +103,6 @@ Result<Value> TxnManager::RunAttempt(const std::string& name, const Body& body,
     if (recorder_ != nullptr) recorder_->RecordTree(&tree, /*committed=*/true);
     if (logger_ != nullptr) logger_->OnTxnCommit(root->id());
     lm_->ReleaseTree(root);
-    if (pinned != nullptr) controller_->Unpin(pinned);
     counters_.Inc(stripe, kCtrCommits);
     if (tracing) {
       EmitTxnEvent(trace::EventKind::kTxnCommit, root->id(), name, 0);
@@ -133,7 +123,6 @@ Result<Value> TxnManager::RunAttempt(const std::string& name, const Body& body,
   if (recorder_ != nullptr) recorder_->RecordTree(&tree, /*committed=*/false);
   if (logger_ != nullptr) logger_->OnTxnAbort(root->id());
   lm_->ReleaseTree(root);
-  if (pinned != nullptr) controller_->Unpin(pinned);
   counters_.Inc(stripe, kCtrAborts);
   if (tracing) EmitTxnEvent(trace::EventKind::kTxnAbort, root->id(), name, 0);
   if (result.ok()) {

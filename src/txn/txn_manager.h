@@ -15,9 +15,6 @@
 
 namespace semcc {
 
-class AdaptiveController;
-struct ModeSnapshot;
-
 /// \brief Point-in-time snapshot of transaction statistics (plain data;
 /// returned by value from TxnManager::stats()).
 struct TxnStats {
@@ -71,12 +68,6 @@ class TxnManager {
 
   VersionedObjectStore* versions() const { return versions_; }
 
-  /// Attach the adaptive controller (ProtocolOptions::adaptive_mode). Every
-  /// locking transaction then pins the current mode snapshot onto its root
-  /// before its first action and unpins it after release — the controller's
-  /// drain barrier (cc/adaptive_controller.h). Must be set before any Run.
-  void SetAdaptiveController(AdaptiveController* c) { controller_ = c; }
-
   /// Monotonic lower-bound snapshot (exact at quiesce; see
   /// metrics::CounterBank).
   TxnStats stats() const;
@@ -101,7 +92,6 @@ class TxnManager {
   HistoryRecorder* const recorder_;
   ActionLogger* const logger_;
   VersionedObjectStore* const versions_;
-  AdaptiveController* controller_ = nullptr;
   metrics::CounterBank counters_;
 };
 

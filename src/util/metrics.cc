@@ -5,8 +5,6 @@
 #include <new>
 #include <vector>
 
-#include "util/histogram.h"
-
 namespace semcc {
 namespace metrics {
 
@@ -15,6 +13,27 @@ size_t RoundUpPow2(size_t n) {
   size_t p = 1;
   while (p < n) p <<= 1;
   return p;
+}
+
+// AtomicHistogram bucket layout: 64 exact buckets, then 16 sub-buckets per
+// power of two up to 2^63 (~4% resolution).
+constexpr int kNumBuckets = 64 + 58 * 16;
+
+int BucketFor(uint64_t value) {
+  if (value < 64) return static_cast<int>(value);
+  const int msb = 63 - __builtin_clzll(value);
+  const uint64_t base = 1ULL << msb;
+  const int sub = static_cast<int>(((value - base) * 16) >> msb);
+  return std::min(64 + (msb - 6) * 16 + sub, kNumBuckets - 1);
+}
+
+uint64_t BucketUpperBound(int bucket) {
+  if (bucket < 64) return static_cast<uint64_t>(bucket);
+  const int rel = bucket - 64;
+  const int msb = 6 + rel / 16;
+  const int sub = rel % 16;
+  const uint64_t base = 1ULL << msb;
+  return base + ((static_cast<uint64_t>(sub) + 1) << msb) / 16 - 1;
 }
 }  // namespace
 
@@ -62,8 +81,7 @@ AtomicHistogram::AtomicHistogram()
 }
 
 void AtomicHistogram::Add(uint64_t value) {
-  buckets_[Histogram::BucketFor(value)].fetch_add(1,
-                                                  std::memory_order_relaxed);
+  buckets_[BucketFor(value)].fetch_add(1, std::memory_order_relaxed);
   sum_.fetch_add(value, std::memory_order_relaxed);
   uint64_t cur = min_.load(std::memory_order_relaxed);
   while (value < cur &&
@@ -96,7 +114,7 @@ HistogramSummary AtomicHistogram::Snapshot() const {
     for (int i = 0; i < kNumBuckets; ++i) {
       seen += buckets[i];
       if (seen > threshold) {
-        return std::min(Histogram::BucketUpperBound(i), s.max);
+        return std::min(BucketUpperBound(i), s.max);
       }
     }
     return s.max;

@@ -10,9 +10,8 @@
 //    individually monotonic; a summed snapshot taken while writers run is a
 //    consistent *lower bound* per counter, and exact at quiescent points.
 //
-//  * AtomicHistogram — the bounded-bucket latency histogram (same bucket
-//    layout as util/histogram.h: exact to 64, then ~4% resolution) with
-//    atomic buckets instead of a mutex. Add() is wait-free (two relaxed
+//  * AtomicHistogram — the bounded-bucket latency histogram (exact to 64,
+//    then ~4% resolution) with atomic buckets. Add() is wait-free (two relaxed
 //    fetch_adds plus CAS loops for min/max); Snapshot() materializes
 //    count/sum/min/max and the p50/p90/p95/p99 percentiles in one pass.
 //
@@ -119,10 +118,6 @@ class AtomicHistogram {
   HistogramSummary Snapshot() const;
 
  private:
-  // Matches util/histogram.h: 64 exact buckets + 16 sub-buckets per power
-  // of two up to 2^63.
-  static constexpr int kNumBuckets = 64 + 58 * 16;
-
   std::atomic<uint64_t> count_{0};
   std::atomic<uint64_t> sum_{0};
   std::atomic<uint64_t> min_{~uint64_t{0}};

@@ -43,7 +43,9 @@ namespace trace {
 
 enum class EventKind : uint8_t {
   kGrant = 1,          ///< lock granted on the first (pre-append) scan
-  kFastPathGrant = 2,  ///< lock granted lock-free from the grant cache
+  kFastPathGrant = 2,  ///< grant from the removed grant cache; no longer
+                       ///< emitted, kept so older captures still decode
+                       ///< and replay as grants
   kBlock = 3,          ///< request blocked; `other` = blocker id
   kGrantAfterWait = 4, ///< blocked request finally granted; `value` = wait us
   kDeadlockVictim = 5, ///< requester chosen as deadlock victim
@@ -63,9 +65,6 @@ enum class EventKind : uint8_t {
                        ///< `value` = version ts observed
   kWalCheckpoint = 19, ///< log prefix truncated; `txn` = trunc LSN,
                        ///< `other` = records dropped, `value` = bytes freed
-  kModeFlip = 20,      ///< adaptive controller flipped a type slot's mode;
-                       ///< `txn` = epoch, `other` = type slot,
-                       ///< `value` = new CcMode, `verdict` = old CcMode
 };
 
 const char* EventKindName(EventKind k);

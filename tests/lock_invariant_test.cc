@@ -7,7 +7,6 @@
 #include <atomic>
 #include <string>
 #include <thread>
-#include <tuple>
 
 #include "app/orderentry/workload.h"
 #include "cc/compatibility.h"
@@ -59,16 +58,10 @@ constexpr TypeId kAtomT = 2;
 constexpr Oid kObjA = 100;
 constexpr Oid kObjB = 200;
 
-// Parameterized over (shard count, §5.4 fast-path flag mask): the whole
-// suite must hold for the default sharded table AND for
-// lock_table_shards = 1 (the single-shard configuration equivalent to the
-// pre-sharding lock manager), and identically with the acquisition
-// fast-path mechanisms off, coalescing alone, or everything on — the
-// mechanisms are verdict-preserving, so the checker's view cannot change.
-// Flag mask bits: 1 = lock_fast_path, 2 = coalesce_entries,
-// 4 = memoize_conflicts, 8 = pool_entries.
-struct LockInvariantTest
-    : public ::testing::TestWithParam<std::tuple<int, int>> {
+// Parameterized over the shard count: the whole suite must hold for the
+// default sharded table AND for lock_table_shards = 1 (the single-shard
+// configuration equivalent to the pre-sharding lock manager).
+struct LockInvariantTest : public ::testing::TestWithParam<int> {
   LockInvariantTest() {
     compat.Define(kItemT, "Ma", "Mb", true);
     compat.Define(kItemT, "Ma", "Ma", false);
@@ -79,12 +72,7 @@ struct LockInvariantTest
     ProtocolOptions o;
     o.debug_lock_checks = true;  // force on even in release builds
     o.wait_timeout = std::chrono::milliseconds(2000);
-    o.lock_table_shards = std::get<0>(GetParam());
-    const int mask = std::get<1>(GetParam());
-    o.lock_fast_path = (mask & 1) != 0;
-    o.coalesce_entries = (mask & 2) != 0;
-    o.memoize_conflicts = (mask & 4) != 0;
-    o.pool_entries = (mask & 8) != 0;
+    o.lock_table_shards = GetParam();
     return std::make_unique<LockManager>(o, &compat);
   }
 
@@ -180,14 +168,11 @@ TEST_P(LockInvariantTest, ConsistentOrderProducesNoInversions) {
   lm->ReleaseTree(t2.root());
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    ShardAndFastPathConfigs, LockInvariantTest,
-    ::testing::Combine(::testing::Values(1, 16),
-                       ::testing::Values(0, 2, 15)),
-    [](const ::testing::TestParamInfo<std::tuple<int, int>>& info) {
-      return "shards" + std::to_string(std::get<0>(info.param)) + "_flags" +
-             std::to_string(std::get<1>(info.param));
-    });
+INSTANTIATE_TEST_SUITE_P(ShardConfigs, LockInvariantTest,
+                         ::testing::Values(1, 16),
+                         [](const ::testing::TestParamInfo<int>& info) {
+                           return "shards" + std::to_string(info.param);
+                         });
 
 // --- checker over a real concurrent workload -----------------------------
 

@@ -25,12 +25,7 @@ constexpr TypeId kItemT = 1;  // methods Ma (self-conflicting), Mb
 constexpr TypeId kAtomT = 2;  // atomic leaves via generic Get/Put
 constexpr Oid kObjA = 100;
 
-// Parameterized over the §5.4 acquisition fast-path flag mask
-// (1 = lock_fast_path, 2 = coalesce_entries, 4 = memoize_conflicts,
-// 8 = pool_entries): sharding, FCFS order, deadlock handling, and wakeup
-// liveness must be byte-identical with the mechanisms off, with coalescing
-// alone, and with everything on — they are verdict-preserving.
-struct LockShardTest : public ::testing::TestWithParam<int> {
+struct LockShardTest : public ::testing::Test {
   LockShardTest() {
     compat.Define(kItemT, "Ma", "Ma", false);
     compat.Define(kItemT, "Ma", "Mb", true);
@@ -38,11 +33,6 @@ struct LockShardTest : public ::testing::TestWithParam<int> {
   }
 
   std::unique_ptr<LockManager> Make(ProtocolOptions o) {
-    const int mask = GetParam();
-    o.lock_fast_path = (mask & 1) != 0;
-    o.coalesce_entries = (mask & 2) != 0;
-    o.memoize_conflicts = (mask & 4) != 0;
-    o.pool_entries = (mask & 8) != 0;
     return std::make_unique<LockManager>(o, &compat);
   }
 
@@ -56,7 +46,7 @@ struct LockShardTest : public ::testing::TestWithParam<int> {
 
 // --- hash dispersion ------------------------------------------------------
 
-TEST_P(LockShardTest, ShardCountClampsToPowerOfTwo) {
+TEST_F(LockShardTest, ShardCountClampsToPowerOfTwo) {
   ProtocolOptions o;
   o.lock_table_shards = 0;
   EXPECT_EQ(Make(o)->num_shards(), 1);
@@ -70,7 +60,7 @@ TEST_P(LockShardTest, ShardCountClampsToPowerOfTwo) {
   EXPECT_EQ(Make(o)->num_shards(), LockManager::kMaxShards);
 }
 
-TEST_P(LockShardTest, SequentialOidsDisperseAcrossShards) {
+TEST_F(LockShardTest, SequentialOidsDisperseAcrossShards) {
   auto lm = Make(ProtocolOptions{});  // default 16 shards
   const int shards = lm->num_shards();
   ASSERT_EQ(shards, 16);
@@ -87,7 +77,7 @@ TEST_P(LockShardTest, SequentialOidsDisperseAcrossShards) {
   }
 }
 
-TEST_P(LockShardTest, SlotZeroRecordsDisperseAcrossShards) {
+TEST_F(LockShardTest, SlotZeroRecordsDisperseAcrossShards) {
   // ForRecord({page, 0}) keys are all multiples of 1<<16 — the structured
   // pattern that defeated the previous `key * 3 + space` hash (std::hash of
   // an integer is the identity on this platform, so every such key landed
@@ -105,7 +95,7 @@ TEST_P(LockShardTest, SlotZeroRecordsDisperseAcrossShards) {
   }
 }
 
-TEST_P(LockShardTest, SequentialPagesDisperseAcrossShards) {
+TEST_F(LockShardTest, SequentialPagesDisperseAcrossShards) {
   auto lm = Make(ProtocolOptions{});
   const int shards = lm->num_shards();
   std::vector<int> hits(shards, 0);
@@ -120,7 +110,7 @@ TEST_P(LockShardTest, SequentialPagesDisperseAcrossShards) {
 
 // --- FCFS grant order under sharding --------------------------------------
 
-TEST_P(LockShardTest, FcfsGrantOrderWithinQueue) {
+TEST_F(LockShardTest, FcfsGrantOrderWithinQueue) {
   // One holder + K staggered conflicting waiters on a single target: the
   // grant order must equal the arrival order (paper footnote 5), with each
   // waiter's queued entry blocking all later arrivals even while ungranted.
@@ -179,7 +169,7 @@ TEST_P(LockShardTest, FcfsGrantOrderWithinQueue) {
 
 // --- cross-shard deadlock -------------------------------------------------
 
-TEST_P(LockShardTest, DeadlockCycleSpanningTwoShardsIsDetected) {
+TEST_F(LockShardTest, DeadlockCycleSpanningTwoShardsIsDetected) {
   ProtocolOptions o;
   o.wait_timeout = std::chrono::milliseconds(20000);
   auto lm = Make(o);
@@ -233,7 +223,7 @@ TEST_P(LockShardTest, DeadlockCycleSpanningTwoShardsIsDetected) {
 constexpr auto kLivenessTimeout = std::chrono::milliseconds(60000);
 constexpr auto kWakeBound = std::chrono::milliseconds(5000);
 
-TEST_P(LockShardTest, ReleaseWakesRootWaiterPromptly) {
+TEST_F(LockShardTest, ReleaseWakesRootWaiterPromptly) {
   ProtocolOptions o;
   o.wait_timeout = kLivenessTimeout;
   auto lm = Make(o);
@@ -263,7 +253,7 @@ TEST_P(LockShardTest, ReleaseWakesRootWaiterPromptly) {
   EXPECT_LT(granted_at - released_at, kWakeBound);
 }
 
-TEST_P(LockShardTest, Case2CompletionWakesWaiterPromptly) {
+TEST_F(LockShardTest, Case2CompletionWakesWaiterPromptly) {
   // Case 2 (Figure 9): the waiter awaits a *subtransaction* completion, not
   // a release — the completion path must find and wake it via the waits-for
   // graph without touching the lock table.
@@ -304,7 +294,7 @@ TEST_P(LockShardTest, Case2CompletionWakesWaiterPromptly) {
   EXPECT_LT(granted_at - completed_at, kWakeBound);
 }
 
-TEST_P(LockShardTest, AbortRequestWakesWaiterPromptly) {
+TEST_F(LockShardTest, AbortRequestWakesWaiterPromptly) {
   ProtocolOptions o;
   o.wait_timeout = kLivenessTimeout;
   auto lm = Make(o);
@@ -332,7 +322,7 @@ TEST_P(LockShardTest, AbortRequestWakesWaiterPromptly) {
   EXPECT_LT(done_at - flagged_at, kWakeBound);
 }
 
-TEST_P(LockShardTest, SingleShardConfigStillWorks) {
+TEST_F(LockShardTest, SingleShardConfigStillWorks) {
   ProtocolOptions o;
   o.lock_table_shards = 1;
   o.wait_timeout = std::chrono::milliseconds(20000);
@@ -359,12 +349,6 @@ TEST_P(LockShardTest, SingleShardConfigStillWorks) {
   EXPECT_TRUE(granted.load());
   EXPECT_EQ(lm->CheckInvariantsNow(), 0u);
 }
-
-INSTANTIATE_TEST_SUITE_P(FastPathConfigs, LockShardTest,
-                         ::testing::Values(0, 2, 15),
-                         [](const ::testing::TestParamInfo<int>& info) {
-                           return "flags" + std::to_string(info.param);
-                         });
 
 }  // namespace
 }  // namespace semcc

@@ -1,8 +1,11 @@
 // Unit tests for the storage substrate: slotted pages, disk manager, buffer
-// pool (LRU, dirty write-back, pin exhaustion), record manager.
+// pool (LRU, dirty write-back, pin exhaustion, concurrent fills), record
+// manager.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "storage/buffer_pool.h"
@@ -189,6 +192,67 @@ TEST(BufferPool, HitsAndMissesCounted) {
   }
   (void)pool.FetchPage(id).ValueOrDie();  // hit (still resident)
   EXPECT_GE(pool.hits(), 1u);
+}
+
+// Byte `i` of page `id`'s disk image in the concurrent-fill test.
+char PatternByte(PageId id, size_t i) {
+  return static_cast<char>((id * 131 + i * 7 + 1) & 0xff);
+}
+
+TEST(BufferPool, ConcurrentFetchesSeeFullyFilledFrames) {
+  // More pages than frames, so fetches keep evicting and refilling frames
+  // while other threads hit the same pages. Every fetch — hit or miss —
+  // must see the whole disk image of its own page. Fetches of ids beyond
+  // the disk image fail, and must leave the id unmapped: a retry fails too
+  // instead of hitting an unfilled frame.
+  DiskManager disk;
+  constexpr PageId kPages = 24;
+  constexpr PageId kUnallocated = kPages + 3;
+  std::vector<char> image(kPageSize);
+  for (PageId p = 0; p < kPages; ++p) {
+    const PageId id = disk.AllocatePage();
+    for (size_t i = 0; i < kPageSize; ++i) image[i] = PatternByte(id, i);
+    ASSERT_TRUE(disk.WritePage(id, image.data()).ok());
+  }
+  BufferPool pool(6, &disk);
+  constexpr int kThreads = 4;
+  constexpr int kFetches = 3000;
+  std::atomic<int> mismatches{0};
+  std::atomic<int> unexpected_failures{0};
+  std::atomic<int> failed_reads_served{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t]() {
+      for (int n = 0; n < kFetches; ++n) {
+        if (n % 97 == 0) {
+          if (pool.FetchPage(kUnallocated).ok()) ++failed_reads_served;
+          continue;
+        }
+        const PageId id = static_cast<PageId>((n * 7 + t * 5) % kPages);
+        auto g = pool.FetchPage(id);
+        if (!g.ok()) {
+          ++unexpected_failures;
+          continue;
+        }
+        const Page* page = g.ValueOrDie().get();
+        page->RLatch();
+        for (size_t i = 0; i < kPageSize; ++i) {
+          if (page->data()[i] != PatternByte(id, i)) {
+            ++mismatches;
+            break;
+          }
+        }
+        page->RUnlatch();
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_EQ(unexpected_failures.load(), 0);
+  EXPECT_EQ(failed_reads_served.load(), 0);
+  const uint64_t hits = pool.hits();
+  EXPECT_TRUE(pool.FetchPage(kUnallocated).status().IsNotFound());
+  EXPECT_EQ(pool.hits(), hits) << "failed read left the id mapped";
 }
 
 TEST(BufferPool, FlushAllPersistsEverything) {

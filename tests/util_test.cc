@@ -1,4 +1,4 @@
-// Unit tests for the util substrate: Status/Result, Random/Zipf, Histogram,
+// Unit tests for the util substrate: Status/Result, Random/Zipf,
 // synchronization helpers.
 #include <gtest/gtest.h>
 
@@ -6,7 +6,6 @@
 #include <thread>
 #include <vector>
 
-#include "util/histogram.h"
 #include "util/random.h"
 #include "util/result.h"
 #include "util/status.h"
@@ -133,36 +132,6 @@ TEST(Zipfian, SkewConcentratesOnHotItems) {
 TEST(Zipfian, StaysInRange) {
   ZipfianGenerator z(7, 0.9, 3);
   for (int i = 0; i < 10000; ++i) EXPECT_LT(z.Next(), 7u);
-}
-
-TEST(Histogram, BasicStats) {
-  Histogram h;
-  for (uint64_t v = 1; v <= 100; ++v) h.Add(v);
-  EXPECT_EQ(h.count(), 100u);
-  EXPECT_EQ(h.min(), 1u);
-  EXPECT_EQ(h.max(), 100u);
-  EXPECT_NEAR(h.mean(), 50.5, 0.01);
-  EXPECT_NEAR(static_cast<double>(h.Percentile(50)), 50, 5);
-  EXPECT_NEAR(static_cast<double>(h.Percentile(99)), 99, 6);
-}
-
-TEST(Histogram, MergeAndReset) {
-  Histogram a, b;
-  a.Add(10);
-  b.Add(1000);
-  a.Merge(b);
-  EXPECT_EQ(a.count(), 2u);
-  EXPECT_EQ(a.min(), 10u);
-  EXPECT_EQ(a.max(), 1000u);
-  a.Reset();
-  EXPECT_EQ(a.count(), 0u);
-}
-
-TEST(Histogram, LargeValuesApproximated) {
-  Histogram h;
-  h.Add(1'000'000);
-  // ~4% bucket resolution above 64.
-  EXPECT_NEAR(static_cast<double>(h.Percentile(100)), 1e6, 1e6 * 0.07);
 }
 
 TEST(Semaphore, PostThenWait) {
