@@ -7,6 +7,7 @@
 #include <atomic>
 #include <string>
 #include <thread>
+#include <tuple>
 
 #include "app/orderentry/workload.h"
 #include "cc/compatibility.h"
@@ -58,10 +59,17 @@ constexpr TypeId kAtomT = 2;
 constexpr Oid kObjA = 100;
 constexpr Oid kObjB = 200;
 
-// Parameterized over the shard count: the whole suite must hold for the
-// default sharded table AND for lock_table_shards = 1 (the single-shard
-// configuration equivalent to the pre-sharding lock manager).
-struct LockInvariantTest : public ::testing::TestWithParam<int> {
+// Parameterized over (shard count, switch mask): the whole suite must hold
+// for the default sharded table AND for lock_table_shards = 1 (the
+// single-shard configuration equivalent to the pre-sharding lock manager),
+// and identically under lock-manager switches that leave the checker's view
+// unchanged. Mask bits: 1 = trace, 2 = keyrange_locks (these methods
+// declare no key ranges), 4 = invariant_violations_fatal (no case here
+// commits a protocol violation); 15 sets them all. The instantiation keeps
+// the name it had when the mask selected the acquire fast-path flags (since
+// removed), so the test ids stay stable.
+struct LockInvariantTest
+    : public ::testing::TestWithParam<std::tuple<int, int>> {
   LockInvariantTest() {
     compat.Define(kItemT, "Ma", "Mb", true);
     compat.Define(kItemT, "Ma", "Ma", false);
@@ -72,7 +80,11 @@ struct LockInvariantTest : public ::testing::TestWithParam<int> {
     ProtocolOptions o;
     o.debug_lock_checks = true;  // force on even in release builds
     o.wait_timeout = std::chrono::milliseconds(2000);
-    o.lock_table_shards = GetParam();
+    o.lock_table_shards = std::get<0>(GetParam());
+    const int mask = std::get<1>(GetParam());
+    o.trace = (mask & 1) != 0;
+    o.keyrange_locks = (mask & 2) != 0;
+    o.invariant_violations_fatal = (mask & 4) != 0;
     return std::make_unique<LockManager>(o, &compat);
   }
 
@@ -168,11 +180,14 @@ TEST_P(LockInvariantTest, ConsistentOrderProducesNoInversions) {
   lm->ReleaseTree(t2.root());
 }
 
-INSTANTIATE_TEST_SUITE_P(ShardConfigs, LockInvariantTest,
-                         ::testing::Values(1, 16),
-                         [](const ::testing::TestParamInfo<int>& info) {
-                           return "shards" + std::to_string(info.param);
-                         });
+INSTANTIATE_TEST_SUITE_P(
+    ShardAndFastPathConfigs, LockInvariantTest,
+    ::testing::Combine(::testing::Values(1, 16),
+                       ::testing::Values(0, 2, 15)),
+    [](const ::testing::TestParamInfo<std::tuple<int, int>>& info) {
+      return "shards" + std::to_string(std::get<0>(info.param)) + "_flags" +
+             std::to_string(std::get<1>(info.param));
+    });
 
 // --- checker over a real concurrent workload -----------------------------
 

@@ -25,7 +25,13 @@ constexpr TypeId kItemT = 1;  // methods Ma (self-conflicting), Mb
 constexpr TypeId kAtomT = 2;  // atomic leaves via generic Get/Put
 constexpr Oid kObjA = 100;
 
-struct LockShardTest : public ::testing::Test {
+// Parameterized over a mask of lock-manager switches that must leave
+// sharding, FCFS order, deadlock handling and wakeup liveness unchanged:
+// 1 = trace, 2 = keyrange_locks (these methods declare no key ranges),
+// 4 = invariant_violations_fatal, 8 = debug_lock_checks forced on. The
+// instantiation keeps the name it had when the mask selected the acquire
+// fast-path flags (since removed), so the test ids stay stable.
+struct LockShardTest : public ::testing::TestWithParam<int> {
   LockShardTest() {
     compat.Define(kItemT, "Ma", "Ma", false);
     compat.Define(kItemT, "Ma", "Mb", true);
@@ -33,6 +39,11 @@ struct LockShardTest : public ::testing::Test {
   }
 
   std::unique_ptr<LockManager> Make(ProtocolOptions o) {
+    const int mask = GetParam();
+    o.trace = (mask & 1) != 0;
+    o.keyrange_locks = (mask & 2) != 0;
+    o.invariant_violations_fatal = (mask & 4) != 0;
+    if ((mask & 8) != 0) o.debug_lock_checks = true;
     return std::make_unique<LockManager>(o, &compat);
   }
 
@@ -46,7 +57,7 @@ struct LockShardTest : public ::testing::Test {
 
 // --- hash dispersion ------------------------------------------------------
 
-TEST_F(LockShardTest, ShardCountClampsToPowerOfTwo) {
+TEST_P(LockShardTest, ShardCountClampsToPowerOfTwo) {
   ProtocolOptions o;
   o.lock_table_shards = 0;
   EXPECT_EQ(Make(o)->num_shards(), 1);
@@ -60,7 +71,7 @@ TEST_F(LockShardTest, ShardCountClampsToPowerOfTwo) {
   EXPECT_EQ(Make(o)->num_shards(), LockManager::kMaxShards);
 }
 
-TEST_F(LockShardTest, SequentialOidsDisperseAcrossShards) {
+TEST_P(LockShardTest, SequentialOidsDisperseAcrossShards) {
   auto lm = Make(ProtocolOptions{});  // default 16 shards
   const int shards = lm->num_shards();
   ASSERT_EQ(shards, 16);
@@ -77,7 +88,7 @@ TEST_F(LockShardTest, SequentialOidsDisperseAcrossShards) {
   }
 }
 
-TEST_F(LockShardTest, SlotZeroRecordsDisperseAcrossShards) {
+TEST_P(LockShardTest, SlotZeroRecordsDisperseAcrossShards) {
   // ForRecord({page, 0}) keys are all multiples of 1<<16 — the structured
   // pattern that defeated the previous `key * 3 + space` hash (std::hash of
   // an integer is the identity on this platform, so every such key landed
@@ -95,7 +106,7 @@ TEST_F(LockShardTest, SlotZeroRecordsDisperseAcrossShards) {
   }
 }
 
-TEST_F(LockShardTest, SequentialPagesDisperseAcrossShards) {
+TEST_P(LockShardTest, SequentialPagesDisperseAcrossShards) {
   auto lm = Make(ProtocolOptions{});
   const int shards = lm->num_shards();
   std::vector<int> hits(shards, 0);
@@ -110,7 +121,7 @@ TEST_F(LockShardTest, SequentialPagesDisperseAcrossShards) {
 
 // --- FCFS grant order under sharding --------------------------------------
 
-TEST_F(LockShardTest, FcfsGrantOrderWithinQueue) {
+TEST_P(LockShardTest, FcfsGrantOrderWithinQueue) {
   // One holder + K staggered conflicting waiters on a single target: the
   // grant order must equal the arrival order (paper footnote 5), with each
   // waiter's queued entry blocking all later arrivals even while ungranted.
@@ -169,7 +180,7 @@ TEST_F(LockShardTest, FcfsGrantOrderWithinQueue) {
 
 // --- cross-shard deadlock -------------------------------------------------
 
-TEST_F(LockShardTest, DeadlockCycleSpanningTwoShardsIsDetected) {
+TEST_P(LockShardTest, DeadlockCycleSpanningTwoShardsIsDetected) {
   ProtocolOptions o;
   o.wait_timeout = std::chrono::milliseconds(20000);
   auto lm = Make(o);
@@ -223,7 +234,7 @@ TEST_F(LockShardTest, DeadlockCycleSpanningTwoShardsIsDetected) {
 constexpr auto kLivenessTimeout = std::chrono::milliseconds(60000);
 constexpr auto kWakeBound = std::chrono::milliseconds(5000);
 
-TEST_F(LockShardTest, ReleaseWakesRootWaiterPromptly) {
+TEST_P(LockShardTest, ReleaseWakesRootWaiterPromptly) {
   ProtocolOptions o;
   o.wait_timeout = kLivenessTimeout;
   auto lm = Make(o);
@@ -253,7 +264,7 @@ TEST_F(LockShardTest, ReleaseWakesRootWaiterPromptly) {
   EXPECT_LT(granted_at - released_at, kWakeBound);
 }
 
-TEST_F(LockShardTest, Case2CompletionWakesWaiterPromptly) {
+TEST_P(LockShardTest, Case2CompletionWakesWaiterPromptly) {
   // Case 2 (Figure 9): the waiter awaits a *subtransaction* completion, not
   // a release — the completion path must find and wake it via the waits-for
   // graph without touching the lock table.
@@ -294,7 +305,7 @@ TEST_F(LockShardTest, Case2CompletionWakesWaiterPromptly) {
   EXPECT_LT(granted_at - completed_at, kWakeBound);
 }
 
-TEST_F(LockShardTest, AbortRequestWakesWaiterPromptly) {
+TEST_P(LockShardTest, AbortRequestWakesWaiterPromptly) {
   ProtocolOptions o;
   o.wait_timeout = kLivenessTimeout;
   auto lm = Make(o);
@@ -322,7 +333,7 @@ TEST_F(LockShardTest, AbortRequestWakesWaiterPromptly) {
   EXPECT_LT(done_at - flagged_at, kWakeBound);
 }
 
-TEST_F(LockShardTest, SingleShardConfigStillWorks) {
+TEST_P(LockShardTest, SingleShardConfigStillWorks) {
   ProtocolOptions o;
   o.lock_table_shards = 1;
   o.wait_timeout = std::chrono::milliseconds(20000);
@@ -349,6 +360,12 @@ TEST_F(LockShardTest, SingleShardConfigStillWorks) {
   EXPECT_TRUE(granted.load());
   EXPECT_EQ(lm->CheckInvariantsNow(), 0u);
 }
+
+INSTANTIATE_TEST_SUITE_P(FastPathConfigs, LockShardTest,
+                         ::testing::Values(0, 2, 15),
+                         [](const ::testing::TestParamInfo<int>& info) {
+                           return "flags" + std::to_string(info.param);
+                         });
 
 }  // namespace
 }  // namespace semcc
