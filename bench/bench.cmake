@@ -5,6 +5,10 @@ function(semcc_bench name)
   add_executable(${name} ${CMAKE_SOURCE_DIR}/bench/${name}.cpp)
   target_link_libraries(${name} semcc_orderentry semcc_core benchmark::benchmark)
   target_include_directories(${name} PRIVATE ${CMAKE_SOURCE_DIR}/bench)
+  # google-benchmark's own context reports only the build type of the
+  # installed libbenchmark; rows also need the one the measured code used.
+  target_compile_definitions(${name} PRIVATE
+    SEMCC_BUILD_TYPE="${CMAKE_BUILD_TYPE}")
   set_target_properties(${name} PROPERTIES
     RUNTIME_OUTPUT_DIRECTORY ${CMAKE_BINARY_DIR}/bench)
 endfunction()

@@ -3,8 +3,10 @@
 # files BENCH_throughput.json, BENCH_contention.json, BENCH_recovery.json
 # (logging overhead, restart cost, group commit, file-backed log), and
 # BENCH_lockpath.json (the lock-path microbenches: acquire/release per
-# protocol, ancestor-walk depth, queue length, commutativity lookups; five
-# repetitions, aggregates only) at the repo root.
+# protocol, ancestor-walk depth, queue length, commutativity lookups) and
+# BENCH_storage.json (the storage microbenches, including the buffer pool's
+# fetch-hit path at 1, 2 and 4 threads) at the repo root. The two
+# microbench files hold five repetitions, aggregates only.
 #
 # Usage:
 #   scripts/run_bench.sh [build-dir]
@@ -27,7 +29,8 @@ set -euo pipefail
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
 build_dir="${1:-${BUILD_DIR:-$repo_root/build-rel}}"
 
-for bench in bench_throughput bench_contention bench_recovery bench_lock_manager; do
+for bench in bench_throughput bench_contention bench_recovery bench_lock_manager \
+    bench_storage; do
   if [[ ! -x "$build_dir/bench/$bench" ]]; then
     echo "error: $build_dir/bench/$bench not found (build with" >&2
     echo "  cmake -B $build_dir -S $repo_root -DCMAKE_BUILD_TYPE=Release" >&2
@@ -58,7 +61,8 @@ if isinstance(data, list) and len(data) == 0:
 # Stash the previous trajectory (if any) for the regression comparison.
 stash_dir="$(mktemp -d)"
 trap 'rm -rf "$stash_dir"' EXIT
-bench_files=(BENCH_throughput.json BENCH_contention.json BENCH_recovery.json BENCH_lockpath.json)
+bench_files=(BENCH_throughput.json BENCH_contention.json BENCH_recovery.json
+             BENCH_lockpath.json BENCH_storage.json)
 for f in "${bench_files[@]}"; do
   [[ -f "$repo_root/$f" ]] && cp "$repo_root/$f" "$stash_dir/$f"
 done
@@ -121,6 +125,11 @@ validate_json "$repo_root/BENCH_recovery.json"
   --benchmark_out="$repo_root/BENCH_lockpath.json" \
   --benchmark_out_format=json
 validate_json "$repo_root/BENCH_lockpath.json"
+"$build_dir/bench/bench_storage" \
+  --benchmark_repetitions=5 --benchmark_report_aggregates_only=true \
+  --benchmark_out="$repo_root/BENCH_storage.json" \
+  --benchmark_out_format=json
+validate_json "$repo_root/BENCH_storage.json"
 
 echo
 for f in "${bench_files[@]}"; do

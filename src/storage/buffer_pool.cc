@@ -1,5 +1,7 @@
 #include "storage/buffer_pool.h"
 
+#include <utility>
+
 #include "util/logging.h"
 
 namespace semcc {
@@ -26,37 +28,25 @@ Result<size_t> BufferPool::Pin(PageId id, bool load) {
   MutexLock guard(mu_);
   auto it = page_table_.find(id);
   if (it != page_table_.end()) {
-    const size_t idx = it->second;
-    Frame* f = frames_[idx].get();
-    if (f->pin_count == 0) {
-      auto pos = lru_pos_.find(idx);
-      SEMCC_CHECK(pos != lru_pos_.end());
-      lru_.erase(pos->second);
-      lru_pos_.erase(pos);
-    }
-    f->pin_count++;
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    return idx;
+    Frame* f = frames_[it->second].get();
+    f->pin_count.fetch_add(1);
+    f->ref = true;
+    hits_++;
+    return it->second;
   }
-  misses_.fetch_add(1, std::memory_order_relaxed);
+  misses_++;
   size_t idx;
   if (!free_frames_.empty()) {
     idx = free_frames_.back();
     free_frames_.pop_back();
   } else {
-    if (lru_.empty()) {
-      return Status::OutOfSpace("buffer pool exhausted: all frames pinned");
-    }
-    idx = lru_.back();
+    SEMCC_ASSIGN_OR_RETURN(idx, FindVictim());
     Frame* victim = frames_[idx].get();
-    SEMCC_CHECK(victim->pin_count == 0);
-    if (victim->dirty) {
-      // On failure the victim stays resident, dirty and in the LRU list.
+    if (victim->dirty.load()) {
+      // On failure the victim stays resident and dirty.
       SEMCC_RETURN_NOT_OK(disk_->WritePage(victim->disk_id, victim->page.data()));
-      victim->dirty = false;
+      victim->dirty.store(false);
     }
-    lru_.pop_back();
-    lru_pos_.erase(idx);
     page_table_.erase(victim->disk_id);
   }
   Frame* f = frames_[idx].get();
@@ -71,21 +61,28 @@ Result<size_t> BufferPool::Pin(PageId id, bool load) {
     f->page.Reset(id);
   }
   f->disk_id = id;
-  f->pin_count = 1;
-  f->dirty = false;
+  f->pin_count.store(1);  // ref and dirty are clear on free and victim frames
   page_table_[id] = idx;
   return idx;
 }
 
-void BufferPool::Unpin(size_t frame_idx, bool dirty) {
-  MutexLock guard(mu_);
-  Frame* f = frames_[frame_idx].get();
-  SEMCC_CHECK(f->pin_count > 0);
-  if (dirty) f->dirty = true;
-  if (--f->pin_count == 0) {
-    lru_.push_front(frame_idx);
-    lru_pos_[frame_idx] = lru_.begin();
+Result<size_t> BufferPool::FindVictim() {
+  for (size_t step = 0; step < 2 * frames_.size(); ++step) {
+    const size_t idx = clock_hand_;
+    clock_hand_ = (clock_hand_ + 1) % frames_.size();
+    Frame* f = frames_[idx].get();
+    // Pins rise only under mu_, so a zero count stays zero while we hold it.
+    if (f->pin_count.load(std::memory_order_acquire) != 0) continue;
+    if (!std::exchange(f->ref, false)) return idx;
   }
+  return Status::OutOfSpace("buffer pool exhausted: all frames pinned");
+}
+
+void BufferPool::Unpin(size_t frame_idx, bool dirty) {
+  Frame* f = frames_[frame_idx].get();
+  if (dirty) f->dirty.store(true);
+  const int prev = f->pin_count.fetch_sub(1, std::memory_order_release);
+  SEMCC_CHECK(prev > 0);
 }
 
 Result<PageGuard> BufferPool::NewPage() {
@@ -105,9 +102,11 @@ Status BufferPool::FlushAll() {
   MutexLock guard(mu_);
   for (auto& [id, idx] : page_table_) {
     Frame* f = frames_[idx].get();
-    if (f->dirty) {
-      SEMCC_RETURN_NOT_OK(disk_->WritePage(f->disk_id, f->page.data()));
-      f->dirty = false;
+    // Clear the mark first: an Unpin racing with the write re-marks it.
+    if (f->dirty.exchange(false)) {
+      const Status st = disk_->WritePage(f->disk_id, f->page.data());
+      if (!st.ok()) f->dirty.store(true);
+      SEMCC_RETURN_NOT_OK(st);
     }
   }
   return Status::OK();

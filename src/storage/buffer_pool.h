@@ -1,11 +1,10 @@
-// BufferPool: fixed set of in-memory frames over the DiskManager with LRU
-// eviction and pin counting.
+// BufferPool: fixed set of in-memory frames over the DiskManager with clock
+// (second-chance) eviction and pin counting.
 #ifndef SEMCC_STORAGE_BUFFER_POOL_H_
 #define SEMCC_STORAGE_BUFFER_POOL_H_
 
 #include <atomic>
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -22,10 +21,12 @@ namespace semcc {
 /// on destruction.
 class PageGuard;
 
-/// \brief Buffer pool with LRU replacement.
+/// \brief Buffer pool with clock replacement.
 ///
 /// Thread safety: all public methods are thread-safe. Content access still
 /// requires the page latch (Page::RLatch/WLatch), which PageGuard exposes.
+/// Pins rise only under mu_; Unpin is a lock-free release decrement that the
+/// evictor's acquire load of a zero pin count pairs with.
 class BufferPool {
  public:
   BufferPool(size_t pool_size, DiskManager* disk);
@@ -41,8 +42,8 @@ class BufferPool {
   /// Write all dirty pages back.
   Status FlushAll();
 
-  uint64_t hits() const { return hits_.load(); }
-  uint64_t misses() const { return misses_.load(); }
+  uint64_t hits() const { MutexLock guard(mu_); return hits_; }
+  uint64_t misses() const { MutexLock guard(mu_); return misses_; }
   size_t pool_size() const { return frames_.size(); }
 
  private:
@@ -51,33 +52,33 @@ class BufferPool {
   struct Frame {
     Page page;
     PageId disk_id = kInvalidPageId;
-    int pin_count = 0;
-    bool dirty = false;
+    std::atomic<int> pin_count{0};
+    std::atomic<bool> dirty{false};
+    bool ref = false;  // second-chance bit
   };
 
-  void Unpin(size_t frame_idx, bool dirty) SEMCC_EXCLUDES(mu_);
+  void Unpin(size_t frame_idx, bool dirty);
 
-  /// Find a frame for `id`: hit, free frame, or LRU eviction. Returns the
+  /// Clock sweep: the first unpinned frame whose ref bit is already clear.
+  Result<size_t> FindVictim() SEMCC_REQUIRES(mu_);
+
+  /// Find a frame for `id`: hit, free frame, or clock eviction. Returns the
   /// frame index with pin_count already incremented. On a miss the frame is
   /// filled — read from disk if `load`, else reset to an empty page — before
-  /// `id` is published in the page table, all under mu_, so a concurrent
-  /// hit never sees a half-filled frame and a failed read leaves `id`
-  /// unmapped.
+  /// `id` is published in the page table, all under mu_, so a concurrent hit
+  /// never sees a half-filled frame and a failed read leaves `id` unmapped.
   Result<size_t> Pin(PageId id, bool load) SEMCC_EXCLUDES(mu_);
 
   DiskManager* const disk_;
-  Mutex mu_;
-  /// Frame slots are allocated once in the constructor; mu_ guards the
-  /// bookkeeping fields inside each Frame, not the vector itself.
+  mutable Mutex mu_;
+  /// Frame slots are allocated once in the constructor; mu_ guards each
+  /// Frame's disk_id and ref, not the vector itself.
   std::vector<std::unique_ptr<Frame>> frames_;
   std::unordered_map<PageId, size_t> page_table_ SEMCC_GUARDED_BY(mu_);
-  /// front = most recent; only unpinned frames listed
-  std::list<size_t> lru_ SEMCC_GUARDED_BY(mu_);
-  std::unordered_map<size_t, std::list<size_t>::iterator> lru_pos_
-      SEMCC_GUARDED_BY(mu_);
   std::vector<size_t> free_frames_ SEMCC_GUARDED_BY(mu_);
-  std::atomic<uint64_t> hits_{0};
-  std::atomic<uint64_t> misses_{0};
+  size_t clock_hand_ SEMCC_GUARDED_BY(mu_) = 0;
+  uint64_t hits_ SEMCC_GUARDED_BY(mu_) = 0;
+  uint64_t misses_ SEMCC_GUARDED_BY(mu_) = 0;
 };
 
 class PageGuard {

@@ -1,9 +1,11 @@
 // Unit tests for the storage substrate: slotted pages, disk manager, buffer
-// pool (LRU, dirty write-back, pin exhaustion, concurrent fills), record
-// manager.
+// pool (clock replacement, dirty write-back, pin exhaustion, concurrent fills,
+// the lock-free unpin), record manager.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
+#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -253,6 +255,147 @@ TEST(BufferPool, ConcurrentFetchesSeeFullyFilledFrames) {
   const uint64_t hits = pool.hits();
   EXPECT_TRUE(pool.FetchPage(kUnallocated).status().IsNotFound());
   EXPECT_EQ(pool.hits(), hits) << "failed read left the id mapped";
+}
+
+// A disk page holding one record, `rec`, in slot 0.
+PageId WriteRecordPage(DiskManager* disk, const std::string& rec) {
+  Page p;
+  p.Reset(disk->AllocatePage());
+  EXPECT_EQ(p.Insert(rec).ValueOrDie(), 0);
+  EXPECT_TRUE(disk->WritePage(p.page_id(), p.data()).ok());
+  return p.page_id();
+}
+
+// Fixed-width record for round `n`, so rewrites stay in place.
+std::string Counter(int n) {
+  char buf[16];
+  std::snprintf(buf, sizeof(buf), "%08d", n);
+  return buf;
+}
+
+TEST(BufferPool, PinnedFrameSurvivesEvictionPressure) {
+  // One thread keeps page P pinned and rewrites it under its latch while
+  // three threads cycle through more pages than frames. The clock must skip
+  // P's frame: its bytes never change under the pin except by the owner.
+  DiskManager disk;
+  const PageId p_id = WriteRecordPage(&disk, Counter(0));
+  std::vector<PageId> others;
+  for (int i = 0; i < 12; ++i) others.push_back(WriteRecordPage(&disk, Counter(i)));
+  BufferPool pool(5, &disk);
+  constexpr int kCyclers = 3;
+  constexpr int kFetches = 3000;
+  std::atomic<int> cyclers_done{0};
+  std::atomic<int> changed_under_pin{0};
+  std::atomic<int> bad_reads{0};
+  int rounds = 0;
+  std::thread owner([&]() {
+    auto g = pool.FetchPage(p_id).ValueOrDie();
+    std::vector<char> last(g->data(), g->data() + kPageSize);
+    do {
+      g->WLatch();
+      if (std::memcmp(g->data(), last.data(), kPageSize) != 0) ++changed_under_pin;
+      EXPECT_TRUE(g->Update(0, Counter(++rounds)).ok());
+      std::memcpy(last.data(), g->data(), kPageSize);
+      g->WUnlatch();
+      if (rounds % 16 == 0) std::this_thread::yield();
+    } while (cyclers_done.load() < kCyclers);
+    g.MarkDirty();
+  });
+  std::vector<std::thread> cyclers;
+  for (int t = 0; t < kCyclers; ++t) {
+    cyclers.emplace_back([&, t]() {
+      for (int n = 0; n < kFetches; ++n) {
+        const size_t i = static_cast<size_t>(n + t * 4) % others.size();
+        auto g = pool.FetchPage(others[i]);
+        if (!g.ok()) {
+          ++bad_reads;
+          continue;
+        }
+        Page* page = g.ValueOrDie().get();
+        page->RLatch();
+        if (page->Read(0).ValueOrDie() != Counter(static_cast<int>(i))) ++bad_reads;
+        page->RUnlatch();
+      }
+      ++cyclers_done;
+    });
+  }
+  for (auto& th : cyclers) th.join();
+  owner.join();
+  EXPECT_EQ(changed_under_pin.load(), 0);
+  EXPECT_EQ(bad_reads.load(), 0);
+  auto g = pool.FetchPage(p_id).ValueOrDie();
+  EXPECT_EQ(g->Read(0).ValueOrDie(), Counter(rounds));
+}
+
+TEST(BufferPool, DirtyMarkFromUnpinSurvivesEviction) {
+  // Each thread owns its pages and bumps a counter in them, unpinning dirty,
+  // in a pool smaller than any one thread's page set, so fetches keep
+  // evicting even if the threads happen to run one after another. Every
+  // fetch must see the previous round's value: a dirty mark lost between the
+  // lock-free Unpin and the evictor would drop the write-back and resurrect
+  // an older disk image.
+  DiskManager disk;
+  constexpr int kThreads = 4;
+  constexpr int kPagesPerThread = 6;
+  constexpr int kRounds = 300;
+  std::vector<std::vector<PageId>> owned(kThreads);
+  for (auto& pages : owned) {
+    for (int i = 0; i < kPagesPerThread; ++i) {
+      pages.push_back(WriteRecordPage(&disk, Counter(0)));
+    }
+  }
+  BufferPool pool(kThreads, &disk);  // one frame per thread
+  std::atomic<int> stale{0};
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t]() {
+      for (int n = 1; n <= kRounds; ++n) {
+        for (PageId id : owned[t]) {
+          auto r = pool.FetchPage(id);
+          if (!r.ok()) {
+            ++failures;
+            continue;
+          }
+          PageGuard g = std::move(r).ValueOrDie();
+          g->WLatch();
+          if (g->Read(0).ValueOrDie() != Counter(n - 1)) ++stale;
+          if (!g->Update(0, Counter(n)).ok()) ++failures;
+          g->WUnlatch();
+          g.MarkDirty();
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(stale.load(), 0);
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_GT(pool.misses(),
+            static_cast<uint64_t>(kThreads * kPagesPerThread * kRounds / 2));
+  for (const auto& pages : owned) {
+    for (PageId id : pages) {
+      auto g = pool.FetchPage(id).ValueOrDie();
+      EXPECT_EQ(g->Read(0).ValueOrDie(), Counter(kRounds)) << "page " << id;
+    }
+  }
+}
+
+TEST(BufferPool, ClockGivesRecentlyUsedPageASecondChance) {
+  // Three frames hold A, B, C; touching A again sets its reference bit, so
+  // the clock passes over A and evicts B when D needs a frame.
+  DiskManager disk;
+  const PageId a = WriteRecordPage(&disk, "a");
+  const PageId b = WriteRecordPage(&disk, "b");
+  const PageId c = WriteRecordPage(&disk, "c");
+  const PageId d = WriteRecordPage(&disk, "d");
+  BufferPool pool(3, &disk);
+  for (PageId id : {a, b, c, a, d}) ASSERT_TRUE(pool.FetchPage(id).ok());
+  EXPECT_EQ(pool.misses(), 4u);
+  EXPECT_EQ(pool.hits(), 1u);
+  ASSERT_TRUE(pool.FetchPage(a).ok());
+  EXPECT_EQ(pool.hits(), 2u) << "A was evicted despite its second chance";
+  ASSERT_TRUE(pool.FetchPage(b).ok());
+  EXPECT_EQ(pool.misses(), 5u) << "B should have been the victim";
 }
 
 TEST(BufferPool, FlushAllPersistsEverything) {
