@@ -12,10 +12,11 @@
 // entries into an immutable snapshot of dense per-type tables indexed by
 // interned MethodId pairs (cc/method_interner.h). The id-based Commute()
 // overload — the one the lock manager's conflict test calls — is an atomic
-// snapshot-pointer load plus two indexed loads for static entries; only
-// predicate entries and the string-keyed legacy overload ever take a lock.
-// Old snapshots are kept alive until the registry dies, so readers never
-// synchronize with writers.
+// snapshot-pointer load plus two indexed loads for static entries; predicate
+// cells add one lookup in the same snapshot's id-keyed predicate map. None
+// of these takes a lock: only the string-keyed overload does, when it
+// interns the two names. Old snapshots are kept alive until the registry
+// dies, so readers never synchronize with writers.
 #ifndef SEMCC_CC_COMPATIBILITY_H_
 #define SEMCC_CC_COMPATIBILITY_H_
 
@@ -200,17 +201,6 @@ class CompatibilityRegistry {
   bool Commute(TypeId type, const std::string& m1, const Args& a1,
                const std::string& m2, const Args& a2) const;
 
-  /// Can the commute verdict of ANY invocation pair involving an
-  /// invocation (type, m, args) depend on that invocation's actual
-  /// arguments? False means every `Commute(type, m, a, ...)` /
-  /// `Commute(type, ..., m, a)` result is independent of `a`: two
-  /// invocations of m differing only in arguments fall in the same conflict
-  /// class. Conservative: true whenever a predicate entry
-  /// mentions m for this type (predicates may read either side's args), or
-  /// m is a key-addressed generic op (Insert/Remove/Select). O(1): reads a
-  /// bitvector precomputed at Recompile time.
-  bool ArgsMatter(TypeId type, MethodId m) const;
-
   /// Built-in commutativity of generic operations by fixed id
   /// (generic_ids); nullopt if (m1, m2) is not a generic pair.
   static std::optional<bool> GenericCommute(MethodId m1, const Args& a1,
@@ -229,7 +219,7 @@ class CompatibilityRegistry {
   // --- verification introspection (tools/matrix_verify) -------------------
   // The build-time matrix verifier (cc/matrix_verifier.h) checks the
   // compiled dense tables against the registration-level view: symmetry of
-  // cells, predicate/dense agreement, args_sensitive soundness, and matrix
+  // cells, predicate/dense agreement, spec derivation, and matrix
   // totality. These read-only accessors expose exactly what it needs; the
   // hot path never touches them.
 
@@ -244,10 +234,6 @@ class CompatibilityRegistry {
   /// The compiled dense cell for (m1, m2) of `type` in the published
   /// snapshot. kCellUnknown when no snapshot, no table, or out of range.
   CellKind CompiledCell(TypeId type, MethodId m1, MethodId m2) const;
-
-  /// The raw args_sensitive bit of the compiled snapshot (WITHOUT the
-  /// generic key-addressed-op override that ArgsMatter layers on top).
-  bool CompiledArgsSensitive(TypeId type, MethodId m) const;
 
   /// Dimension (interner size at compile time) of `type`'s compiled table;
   /// 0 if the type has no table.
@@ -270,10 +256,6 @@ class CompatibilityRegistry {
   /// (a raw CellKind value). Returns false if the cell is out of range.
   bool TestOnlyCorruptCell(TypeId type, const std::string& m1,
                            const std::string& m2, CellKind cell);
-
-  /// Overwrite args_sensitive[m]. Returns false if out of range.
-  bool TestOnlyCorruptArgsSensitive(TypeId type, const std::string& m,
-                                    bool sensitive);
 
   /// Overwrite the published snapshot's spec for (type, method) WITHOUT
   /// recompiling or re-deriving — seeds a spec/matrix disagreement for the
@@ -320,10 +302,6 @@ class CompatibilityRegistry {
     struct TypeTable {
       uint32_t dim = 0;                ///< interner size at compile time
       std::vector<uint8_t> cells;      ///< dim * dim Cell values
-      /// args_sensitive[m] != 0 iff some kPredicate cell of this type is in
-      /// row m (precomputed for ArgsMatter; the generic key-addressed ops
-      /// are handled type-independently there).
-      std::vector<uint8_t> args_sensitive;
       /// Directional predicate refs keyed by (m1, m2) ids; consulted only
       /// when the cell says kPredicate.
       std::map<std::pair<MethodId, MethodId>, PredRef> preds;

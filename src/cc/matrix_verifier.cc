@@ -199,27 +199,6 @@ void MatrixVerifier::VerifyStructural(TypeId type,
     }
   }
 
-  // --- args-sensitive: bit m set <=> a predicate cell exists in row m -----
-  for (MethodId m = 0; m < dim; ++m) {
-    bool row_has_pred = false;
-    for (MethodId j = 0; j < dim; ++j) {
-      if (compat_->CompiledCell(type, m, j) == CellKind::kCellPredicate) {
-        row_has_pred = true;
-        break;
-      }
-    }
-    const bool bit = compat_->CompiledArgsSensitive(type, m);
-    if (bit != row_has_pred) {
-      report->diagnostics.push_back(
-          {"args-sensitive", type,
-           "args_sensitive[" + interner.NameOf(m) + "]=" +
-               (bit ? "1" : "0") + " but row " +
-               (row_has_pred ? "has" : "has no") +
-               " predicate cells — a wrong bit makes ArgsMatter() misreport "
-               "whether the method's verdicts depend on its arguments"});
-    }
-  }
-
   // --- matrix-totality (retained-lock closure, Fig. 8/9) ------------------
   // Every pair over the type's declared/registered methods needs a verdict:
   // an unregistered pair falls through to the generic rules, else conflict,
@@ -309,41 +288,6 @@ void MatrixVerifier::VerifyBehavioral(TypeId type,
                  m1 + ArgsToString(a) + " vs " + m2 + ArgsToString(b) +
                      " changed verdict on re-evaluation — predicates must "
                      "be pure functions of the argument lists"});
-          }
-        }
-      }
-    }
-  }
-
-  // --- argument-insensitivity: ArgsMatter()==false must mean it ------------
-  // Counterparts include the generic ops: unknown cells fall through to the
-  // generic rules, so an insensitive method's verdict must be argument-
-  // invariant there too.
-  std::vector<std::string> counterparts = universe;
-  counterparts.insert(counterparts.end(),
-                      {generic_ops::kGet, generic_ops::kPut,
-                       generic_ops::kInsert, generic_ops::kRemove,
-                       generic_ops::kSelect, generic_ops::kScan,
-                       generic_ops::kSize, generic_ops::kMember,
-                       generic_ops::kRangeScan});
-  for (const std::string& m : universe) {
-    const MethodId id = interner.Lookup(m);
-    if (id == kInvalidMethodId || compat_->ArgsMatter(type, id)) continue;
-    for (const std::string& m2 : counterparts) {
-      for (const Args& b : samples_) {
-        const bool first_fwd = compat_->Commute(type, m, samples_[0], m2, b);
-        const bool first_rev = compat_->Commute(type, m2, b, m, samples_[0]);
-        for (const Args& a : samples_) {
-          const bool fwd = compat_->Commute(type, m, a, m2, b);
-          const bool rev = compat_->Commute(type, m2, b, m, a);
-          report->verdicts_sampled += 2;
-          if (fwd != first_fwd || rev != first_rev) {
-            report->diagnostics.push_back(
-                {"args-sensitive", type,
-                 m + " is marked argument-INsensitive but its verdict vs " +
-                     m2 + ArgsToString(b) + " differs between args " +
-                     ArgsToString(samples_[0]) + " and " + ArgsToString(a) +
-                     " — ArgsMatter() misreports it"});
           }
         }
       }
@@ -454,10 +398,7 @@ std::string MatrixVerifier::DumpTable(
     const std::set<std::string> has_spec(spec_names.begin(), spec_names.end());
     for (const std::string& m : universe) {
       const MethodId id = interner.Lookup(m);
-      os << "  method " << m << " args_sensitive="
-         << (id != kInvalidMethodId && compat_->ArgsMatter(type, id) ? "yes"
-                                                                     : "no")
-         << "\n";
+      os << "  method " << m << "\n";
       if (id == kInvalidMethodId || has_spec.count(m) == 0) continue;
       if (auto spec = compat_->MethodSpecOf(type, id); spec.has_value()) {
         os << "  spec " << m << " reads=" << KeyRefStr(spec->reads)

@@ -3,11 +3,11 @@
 // The conflict test of paper §4.2 runs once per (holder, requester) pair per
 // ancestor-walk step on every lock acquisition; keying it by std::string
 // makes the hot path hash strings and chase heap. Interning every method
-// name once — at SubTxn creation and at compatibility registration, both
-// cold paths — lets the conflict test work on 32-bit ids: the
-// CompatibilityRegistry compiles its per-type matrices into dense id-indexed
-// tables (see cc/compatibility.h) and the lock manager's TestConflict never
-// touches a string.
+// name once per action (SubTxn construction) and once per registration lets
+// the conflict test, which runs many times per action, work on 32-bit ids:
+// the CompatibilityRegistry compiles its per-type matrices into dense
+// id-indexed tables (see cc/compatibility.h) and the lock manager's
+// TestConflict never touches a string.
 //
 // Ids are assigned process-wide (not per registry) so a SubTxn's cached id
 // is meaningful against any CompatibilityRegistry. The generic operations of
@@ -46,9 +46,10 @@ inline constexpr MethodId kNumGenericOps = 9;
 
 /// \brief Thread-safe append-only string-to-id table.
 ///
-/// Intern() is called on cold paths only (SubTxn construction, compatibility
-/// registration), so a SharedMutex is fine; the hot conflict test uses the
-/// cached ids and never comes here.
+/// Intern() runs once per action (the SubTxn constructor) and once per
+/// compatibility registration, under a SharedMutex; the conflict test, which
+/// runs once per holder per ancestor-walk step, uses the cached ids and
+/// never comes here.
 class MethodInterner {
  public:
   /// The process-wide interner (generic operations pre-interned).

@@ -6,7 +6,7 @@
 namespace semcc {
 
 Database::Database(DatabaseOptions options)
-    : options_(std::move(options)), disk_(options_.simulated_io_micros) {
+    : options_(std::move(options)) {
   buffer_pool_ = std::make_unique<BufferPool>(options_.buffer_pool_pages, &disk_);
   records_ = std::make_unique<RecordManager>(buffer_pool_.get());
   store_ = std::make_unique<ObjectStore>(&schema_, records_.get());

@@ -48,8 +48,6 @@ struct DatabaseOptions {
   /// vs in-memory log, flush retry) — see RecoveryOptions.
   RecoveryOptions recovery;
   size_t buffer_pool_pages = 4096;
-  /// Busy-wait per simulated page I/O (0 = pure in-memory).
-  uint32_t simulated_io_micros = 0;
   /// Record finished transaction trees (needed by the serializability
   /// checker and the figure benches; disable for long perf runs).
   bool record_history = true;

@@ -364,12 +364,17 @@ uint64_t ObjectStore::num_objects() const {
 
 std::string ObjectStore::DebugString(Oid oid) const {
   auto meta_r = Find(oid);
-  if (!meta_r.ok()) return "<" + meta_r.status().ToString() + ">";
+  if (!meta_r.ok()) {
+    return std::string("<").append(meta_r.status().ToString()).append(">");
+  }
   ObjectMeta* meta = meta_r.ValueOrDie();
-  std::string out = "@" + std::to_string(oid) + ":" +
-                    schema_->TypeName(meta->type) + "(" +
-                    ObjectKindName(meta->kind) + ")";
-  return out;
+  return std::string("@")
+      .append(std::to_string(oid))
+      .append(":")
+      .append(schema_->TypeName(meta->type))
+      .append("(")
+      .append(ObjectKindName(meta->kind))
+      .append(")");
 }
 
 }  // namespace semcc

@@ -76,7 +76,7 @@ std::string PathExpr::ToString() const {
         out += s.component;
         break;
       case PathStep::Kind::kSelect:
-        out += "[" + s.key.ToString() + "]";
+        out.append("[").append(s.key.ToString()).append("]");
         break;
       case PathStep::Kind::kScan:
         out += "[*]";

@@ -83,7 +83,7 @@ Result<std::unique_ptr<FileLogDevice>> FileLogDevice::Open(
   // carry padding (or a torn frame) from the previous run, and recovery
   // truncates it to the last valid frame before anything is appended —
   // padding added now would just be cut again.
-  if (options.preallocate && device->current_.size() == 0) {
+  if (device->current_.size() == 0) {
     SEMCC_RETURN_NOT_OK(device->current_.PreallocateTo(options.segment_bytes));
   }
   SEMCC_RETURN_NOT_OK(SyncDirectory(dir));
@@ -99,9 +99,7 @@ Status FileLogDevice::Rotate() {
   closed_bytes_ += size;
   current_index_++;
   SEMCC_RETURN_NOT_OK(current_.Open(SegmentPath(current_index_)));
-  if (options_.preallocate) {
-    SEMCC_RETURN_NOT_OK(current_.PreallocateTo(options_.segment_bytes));
-  }
+  SEMCC_RETURN_NOT_OK(current_.PreallocateTo(options_.segment_bytes));
   return SyncDirectory(dir_);
 }
 
@@ -176,10 +174,8 @@ Status FileLogDevice::Truncate(uint64_t size) {
   }
   // Remember the kept segment's on-disk extent: repair restores padding up
   // to it (zero-scrubbing whatever the truncated region held, so torn bytes
-  // cannot resurface as a fake tail) but never *grows* the file — a log
-  // written without preallocation stays unpadded, which keeps sweep-style
-  // tests that restart thousands of times from rewriting a full segment of
-  // zeros per restart.
+  // cannot resurface as a fake tail) but never *grows* the file past the
+  // extent it had.
   SEMCC_ASSIGN_OR_RETURN(const uint64_t keep_physical,
                          FileSize(SegmentPath(all[keep].index)));
   SEMCC_RETURN_NOT_OK(TruncateFile(SegmentPath(all[keep].index), size - base));
@@ -191,7 +187,7 @@ Status FileLogDevice::Truncate(uint64_t size) {
   current_index_ = all[keep].index;
   SEMCC_RETURN_NOT_OK(current_.Open(SegmentPath(current_index_)));
   SEMCC_RETURN_NOT_OK(current_.Sync());
-  if (options_.preallocate && keep_physical > size - base) {
+  if (keep_physical > size - base) {
     SEMCC_RETURN_NOT_OK(current_.PreallocateTo(keep_physical));
   }
   SEMCC_RETURN_NOT_OK(SyncDirectory(dir_));

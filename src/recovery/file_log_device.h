@@ -10,6 +10,14 @@
 // is fsynced and closed, the new one is created, and the directory is
 // fsynced so the creation itself is durable.
 //
+// Every fresh segment is preallocated with written-through zeros, so commit
+// syncs are pure data overwrites (no block allocation or inode update in
+// the journal — roughly halves fdatasync latency on ext4 and collapses its
+// tail). The padding beyond the last append reads back as zeros, which the
+// frame scanner treats as a torn tail and RecoverAtStartup truncates away —
+// so a reopened log must run recovery before appending (the WAL always
+// does).
+//
 // ReadDurable() returns the files' current contents. In-process that
 // includes OS-cached bytes a real power loss would drop — the process
 // cannot observe its own page cache — which is exactly why the
@@ -32,14 +40,6 @@ namespace semcc {
 struct FileLogDeviceOptions {
   /// Rotate to a new segment once the current one reaches this size.
   uint64_t segment_bytes = 4u << 20;
-  /// Preallocate each fresh segment with written-through zeros so commit
-  /// syncs are pure data overwrites (no block allocation or inode update in
-  /// the journal — roughly halves fdatasync latency on ext4 and collapses
-  /// its tail). The padding beyond the last append reads back as zeros,
-  /// which the frame scanner treats as a torn tail and RecoverAtStartup
-  /// truncates away — so a reopened log must run recovery before appending
-  /// (the WAL always does).
-  bool preallocate = true;
 };
 
 class FileLogDevice : public LogDevice {

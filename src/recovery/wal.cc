@@ -11,12 +11,6 @@ namespace semcc {
 
 namespace {
 
-/// Depth of the flush pipeline: one batch syncing on the device while the
-/// next one is being claimed and encoded. Two is the sweet spot — the
-/// encode is much cheaper than an fsync, so a deeper pipeline only grows
-/// batch-slot wait queues without overlapping any more work.
-constexpr size_t kMaxInflightBatches = 2;
-
 /// WAL events have no ProtocolOptions to consult, so they gate on the
 /// process-wide switch only.
 void EmitWalEvent(trace::EventKind kind, uint64_t lsn_or_zero, uint64_t other,
@@ -233,9 +227,8 @@ Status WriteAheadLog::FlushInternal(Lsn target, bool force_sync) {
         }
       }
       // Time only the device work from here: the turn wait above overlaps
-      // the previous batch's sync, and including it would inflate the p50
-      // that sizes the adaptive window (a feedback loop — a longer window
-      // reads as a slower device, which grows the window further).
+      // the previous batch's sync, and including it would make the flush
+      // histogram read the device as slower than it is.
       device_timer.Restart();
       bool appended = batch.empty();  // nothing to append on a bare force
       auto backoff = options_.flush_retry_backoff;

@@ -1,13 +1,8 @@
 #include "storage/disk_manager.h"
 
-#include <chrono>
 #include <cstring>
-#include <thread>
 
 namespace semcc {
-
-DiskManager::DiskManager(uint32_t simulated_io_micros)
-    : simulated_io_micros_(simulated_io_micros) {}
 
 PageId DiskManager::AllocatePage() {
   MutexLock guard(mu_);
@@ -24,7 +19,6 @@ Status DiskManager::ReadPage(PageId id, char* out) {
     if (id >= image_.size()) return Status::NotFound("page beyond disk image");
     src = image_[id].get();
   }
-  SimulateIo();
   std::memcpy(out, src, kPageSize);
   reads_.fetch_add(1, std::memory_order_relaxed);
   return Status::OK();
@@ -37,19 +31,9 @@ Status DiskManager::WritePage(PageId id, const char* data) {
     if (id >= image_.size()) return Status::NotFound("page beyond disk image");
     dst = image_[id].get();
   }
-  SimulateIo();
   std::memcpy(dst, data, kPageSize);
   writes_.fetch_add(1, std::memory_order_relaxed);
   return Status::OK();
-}
-
-void DiskManager::SimulateIo() {
-  if (simulated_io_micros_ == 0) return;
-  const auto until = std::chrono::steady_clock::now() +
-                     std::chrono::microseconds(simulated_io_micros_);
-  while (std::chrono::steady_clock::now() < until) {
-    std::this_thread::yield();
-  }
 }
 
 }  // namespace semcc

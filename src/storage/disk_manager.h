@@ -3,8 +3,7 @@
 // The reproduction runs everything in memory (the paper's contribution is a
 // concurrency-control protocol, not an I/O path), but the interface is the
 // classical one so the buffer pool above it behaves like a real system:
-// whole-page reads/writes, explicit allocation, and an optional simulated
-// per-I/O latency for benchmarks that want buffer-pool pressure to matter.
+// whole-page reads/writes and explicit allocation.
 #ifndef SEMCC_STORAGE_DISK_MANAGER_H_
 #define SEMCC_STORAGE_DISK_MANAGER_H_
 
@@ -23,8 +22,7 @@ namespace semcc {
 /// \brief In-memory array-of-pages "disk".
 class DiskManager {
  public:
-  /// \param simulated_io_micros busy-wait per page I/O (0 = none).
-  explicit DiskManager(uint32_t simulated_io_micros = 0);
+  DiskManager() = default;
   SEMCC_DISALLOW_COPY_AND_ASSIGN(DiskManager);
 
   /// Allocate a fresh page; returns its id.
@@ -41,9 +39,6 @@ class DiskManager {
   uint64_t writes() const { return writes_.load(); }
 
  private:
-  void SimulateIo();
-
-  const uint32_t simulated_io_micros_;
   std::atomic<PageId> next_page_id_{0};
   std::atomic<uint64_t> reads_{0};
   std::atomic<uint64_t> writes_{0};

@@ -32,11 +32,6 @@ Result<const MethodDef*> MethodRegistry::Find(TypeId type,
   return &it->second;
 }
 
-bool MethodRegistry::Has(TypeId type, const std::string& name) const {
-  MutexLock guard(mu_);
-  return methods_.count(std::make_pair(type, name)) > 0;
-}
-
 std::vector<std::string> MethodRegistry::MethodsOf(TypeId type) const {
   MutexLock guard(mu_);
   std::vector<std::string> out;

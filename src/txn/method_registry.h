@@ -48,7 +48,6 @@ class MethodRegistry {
 
   Status Register(MethodDef def);
   Result<const MethodDef*> Find(TypeId type, const std::string& name) const;
-  bool Has(TypeId type, const std::string& name) const;
   std::vector<std::string> MethodsOf(TypeId type) const;
 
  private:

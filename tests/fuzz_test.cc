@@ -82,14 +82,16 @@ TEST_P(SeededFuzz, RecordManagerMatchesReferenceModel) {
   for (int step = 0; step < steps; ++step) {
     const uint64_t op = rng.Uniform(100);
     if (op < 45) {
-      std::string rec = "v" + std::to_string(rng.Next() % 100000);
+      std::string rec =
+          std::string("v").append(std::to_string(rng.Next() % 100000));
       Rid rid = rm.Insert(rec).ValueOrDie();
       model[rid.ToString()] = rec;
       rids[rid.ToString()] = rid;
     } else if (op < 65 && !model.empty()) {
       auto it = model.begin();
       std::advance(it, rng.Uniform(model.size()));
-      std::string rec = "u" + std::to_string(rng.Next() % 100000);
+      std::string rec =
+          std::string("u").append(std::to_string(rng.Next() % 100000));
       ASSERT_TRUE(rm.Update(rids[it->first], rec).ok());
       it->second = rec;
     } else if (op < 75 && !model.empty()) {

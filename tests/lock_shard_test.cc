@@ -138,7 +138,8 @@ TEST_P(LockShardTest, FcfsGrantOrderWithinQueue) {
   std::vector<SubTxn*> actions;
   for (int i = 0; i < kWaiters; ++i) {
     trees.push_back(std::make_unique<TxnTree>(TxnTree::NextId(),
-                                              "W" + std::to_string(i),
+                                              std::string("W").append(
+                                                  std::to_string(i)),
                                               kDatabaseOid, 0));
     actions.push_back(
         trees[i]->NewNode(trees[i]->root(), kObjA, kItemT, "Ma", {}));

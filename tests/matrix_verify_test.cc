@@ -98,29 +98,6 @@ TEST(MatrixVerifyTest, RejectsFlippedSymmetryCell) {
   EXPECT_TRUE(report.behavioral_skipped);
 }
 
-TEST(MatrixVerifyTest, RejectsWrongArgsSensitiveBit) {
-  CompatibilityRegistry c;
-  InstallScratchMatrix(&c);
-  // MvA has a predicate cell (vs MvC), so its args_sensitive bit must be
-  // set; clearing it would make ArgsMatter() call two MvA invocations with
-  // different args one conflict class.
-  ASSERT_TRUE(c.TestOnlyCorruptArgsSensitive(kScratchType, "MvA", false));
-  const MatrixVerifyReport report = MatrixVerifier(&c).Verify();
-  ASSERT_FALSE(report.ok());
-  EXPECT_TRUE(HasDiagnostic(report, "args-sensitive", "MvA"))
-      << report.ToString();
-
-  // The opposite defect — marking a purely static method sensitive —
-  // must be rejected too.
-  CompatibilityRegistry c2;
-  InstallScratchMatrix(&c2);
-  ASSERT_TRUE(c2.TestOnlyCorruptArgsSensitive(kScratchType, "MvB", true));
-  const MatrixVerifyReport report2 = MatrixVerifier(&c2).Verify();
-  ASSERT_FALSE(report2.ok());
-  EXPECT_TRUE(HasDiagnostic(report2, "args-sensitive", "MvB"))
-      << report2.ToString();
-}
-
 TEST(MatrixVerifyTest, RejectsPredicateDenseMismatch) {
   CompatibilityRegistry c;
   InstallScratchMatrix(&c);
@@ -220,7 +197,7 @@ TEST(MatrixVerifyTest, DumpTableIsDeterministicAndExhaustive) {
   EXPECT_EQ(table, verifier.DumpTable());
   for (const char* needle :
        {"MvA x MvA", "MvA x MvB", "MvA x MvC", "MvB x MvB", "MvB x MvC",
-        "MvC x MvC", "pred{", "args_sensitive=yes", "args_sensitive=no"}) {
+        "MvC x MvC", "pred{"}) {
     EXPECT_NE(table.find(needle), std::string::npos)
         << "missing " << needle << " in:\n" << table;
   }

@@ -417,7 +417,6 @@ TEST_F(RecoveryTest, GroupCommitIsDurableAndBatchesFlushes) {
   DatabaseOptions options;
   options.enable_wal = true;
   options.recovery.group_commit = true;
-  options.recovery.group_window = std::chrono::microseconds(300);
   options.recovery.wal_flush_micros = 200;  // slow fsync: committers pile up
   Database db(options);
   auto types = Install(&db).ValueOrDie();

@@ -454,10 +454,12 @@ TEST_F(RecordManagerTest, ClusteredInsertsShareAPage) {
 TEST_F(RecordManagerTest, ManySmallRecords) {
   std::vector<Rid> rids;
   for (int i = 0; i < 5000; ++i) {
-    rids.push_back(rm.Insert("r" + std::to_string(i)).ValueOrDie());
+    rids.push_back(
+        rm.Insert(std::string("r").append(std::to_string(i))).ValueOrDie());
   }
   for (int i = 0; i < 5000; i += 997) {
-    EXPECT_EQ(rm.Read(rids[i]).ValueOrDie(), "r" + std::to_string(i));
+    EXPECT_EQ(rm.Read(rids[i]).ValueOrDie(),
+              std::string("r").append(std::to_string(i)));
   }
   EXPECT_EQ(rm.num_inserts(), 5000u);
 }

@@ -375,36 +375,44 @@ TEST_F(FileDeviceTest, TruncateRepairsAcrossSegments) {
 }
 
 TEST_F(FileDeviceTest, TornTailOnDiskIsTruncatedAtRestart) {
-  // preallocate=false keeps the physical file size equal to the logical
-  // content, so the final byte-exact FileSize assertion is meaningful; the
-  // preallocated variant is covered below.
-  FileLogDeviceOptions fopts;
-  fopts.preallocate = false;
+  // A crash mid-append left half a frame at the segment file's physical
+  // end, past its zero padding (an append that crosses the padded extent
+  // grows the file). Recovery must drop it and scrub it on disk without
+  // growing the file; the torn overwrite inside the padding is covered
+  // below.
+  const std::string path = dir_ + "/wal-000001.log";
+  uint64_t stable = 0;
   {
-    auto device = FileLogDevice::Open(dir_, fopts);
+    auto device = FileLogDevice::Open(dir_, {});
     ASSERT_TRUE(device.ok());
     WriteAheadLog wal(std::move(device).ValueUnsafe(), FastRetryOptions());
     ASSERT_TRUE(wal.RecoverAtStartup().ok());
     wal.Append(MakeRecord(1));
     wal.Append(MakeRecord(2));
     ASSERT_TRUE(wal.Flush().ok());
+    stable = wal.stable_bytes();
   }
   // Crash left half a frame on disk.
   {
     PosixWritableFile f;
-    ASSERT_TRUE(f.Open(dir_ + "/wal-000001.log").ok());
+    ASSERT_TRUE(f.Open(path).ok());
     ASSERT_TRUE(f.Append("\x40\x00\x00\x00torn", 8).ok());
     ASSERT_TRUE(f.Sync().ok());
   }
-  auto device = FileLogDevice::Open(dir_, fopts);
+  const uint64_t torn_extent = FileSize(path).ValueOrDie();
+  auto device = FileLogDevice::Open(dir_, {});
   ASSERT_TRUE(device.ok());
   WriteAheadLog wal(std::move(device).ValueUnsafe(), FastRetryOptions());
   auto recovered = wal.RecoverAtStartup();
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
   EXPECT_EQ(recovered.ValueOrDie().size(), 2u);
-  // The file itself was repaired.
-  EXPECT_EQ(FileSize(dir_ + "/wal-000001.log").ValueOrDie(),
-            wal.stable_bytes());
+  EXPECT_EQ(wal.stable_bytes(), stable);
+  // The file itself was repaired: the same extent, with every byte past the
+  // valid frames (the torn half-frame included) back to zeros.
+  std::string content;
+  ASSERT_TRUE(ReadFileToString(path, &content).ok());
+  EXPECT_EQ(content.size(), torn_extent);
+  EXPECT_EQ(content.find_first_not_of('\0', stable), std::string::npos);
 }
 
 TEST_F(FileDeviceTest, TornOverwriteInPreallocatedSegmentIsRepaired) {
@@ -484,30 +492,35 @@ TEST_F(FileDeviceTest, SegmentGapRefused) {
 // --- group commit ---------------------------------------------------------
 
 TEST(GroupCommit, ShutdownDrainsPendingCommits) {
-  // A committer that is still waiting for the group window when the
-  // flusher is told to stop must be flushed out (or failed) — never left
-  // asleep. The old code could join the flusher first and strand it.
-  WriteAheadLog wal;
+  // A commit request that no pool thread has claimed when Shutdown() stops
+  // the pool must be flushed out (or failed) — never left asleep. The slow
+  // device keeps commit 1's batch syncing while the pool is told to stop;
+  // commit 2 is appended after that batch's last chance to absorb it, so
+  // only the drain can make it stable.
+  WriteAheadLog wal(/*flush_micros=*/200000);
   RecoveryOptions opts;
   opts.group_commit = true;
-  opts.group_window = std::chrono::seconds(5);  // longer than the test
   RecoveryManager manager(&wal, opts);
-  auto commit = std::async(std::launch::async, [&]() {
-    manager.OnTxnCommit(1);  // blocks in MakeStable until stable or failed
-  });
-  // Let the committer append its record and reach the group wait, then
-  // shut down underneath it.
-  while (wal.total_count() == 0) {
+  // OnTxnCommit blocks in MakeStable until its record is stable or failed.
+  auto first = std::async(std::launch::async, [&]() { manager.OnTxnCommit(1); });
+  while (wal.inflight_batches() == 0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  manager.Shutdown();
-  ASSERT_EQ(commit.wait_for(std::chrono::seconds(10)),
-            std::future_status::ready)
-      << "committer stranded after shutdown";
-  // Drained, not dropped: the commit record is stable.
-  EXPECT_EQ(wal.stable_count(), 1u);
-  EXPECT_TRUE(manager.health().ok());
+  auto shutdown = std::async(std::launch::async, [&]() { manager.Shutdown(); });
+  // Let the idle pool thread see the stop request before commit 2 arrives.
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  auto second = std::async(std::launch::async, [&]() { manager.OnTxnCommit(2); });
+  while (wal.total_count() < 2) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_LT(wal.stable_count(), 2u) << "nothing left to drain";
+  for (std::future<void>* f : {&first, &second, &shutdown}) {
+    ASSERT_EQ(f->wait_for(std::chrono::seconds(10)), std::future_status::ready)
+        << "committer or shutdown stranded";
+  }
+  // Drained, not dropped: both commit records are stable.
+  EXPECT_EQ(wal.stable_count(), 2u);
+  EXPECT_TRUE(manager.health().ok()) << manager.health().ToString();
 }
 
 TEST(GroupCommit, RequestDuringInFlightFlushIsNotLost) {
@@ -518,7 +531,6 @@ TEST(GroupCommit, RequestDuringInFlightFlushIsNotLost) {
   WriteAheadLog wal(/*flush_micros=*/20000);
   RecoveryOptions opts;
   opts.group_commit = true;
-  opts.group_window = std::chrono::microseconds(1);
   RecoveryManager manager(&wal, opts);
   auto first = std::async(std::launch::async, [&]() { manager.OnTxnCommit(1); });
   std::this_thread::sleep_for(std::chrono::milliseconds(5));  // mid-flush
@@ -542,7 +554,6 @@ TEST(GroupCommit, FlushFailureFailsWaitersInsteadOfHanging) {
   fi->SetPlan(plan);
   RecoveryOptions opts;
   opts.group_commit = true;
-  opts.group_window = std::chrono::microseconds(100);
   RecoveryManager manager(&wal, opts);
   auto commit = std::async(std::launch::async, [&]() { manager.OnTxnCommit(1); });
   ASSERT_EQ(commit.wait_for(std::chrono::seconds(10)),
@@ -654,8 +665,6 @@ TEST(GroupCommit, FlusherPoolDeathFailsWaiters) {
   fi->SetPlan(plan);
   RecoveryOptions opts;
   opts.group_commit = true;
-  opts.flusher_threads = 2;
-  opts.group_window = std::chrono::microseconds(100);
   RecoveryManager manager(&wal, opts);
   std::vector<std::future<void>> commits;
   for (TxnId txn = 1; txn <= 4; ++txn) {
@@ -680,8 +689,6 @@ TEST(GroupCommit, TransientEioMidPipelineRecovers) {
   WriteAheadLog wal(std::move(injector), FastRetryOptions(4));
   RecoveryOptions opts;
   opts.group_commit = true;
-  opts.flusher_threads = 2;
-  opts.adaptive_group_window = true;
   RecoveryManager manager(&wal, opts);
   constexpr int kThreads = 4;
   constexpr int kPerThread = 25;
